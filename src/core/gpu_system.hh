@@ -10,6 +10,9 @@
  *  - DcL1: lite cores <-> NoC#1 (Z crossbars of N x M) <-> DC-L1 nodes
  *    <-> NoC#2 (M crossbars of Z x L/M, or one full Y x L crossbar)
  *    <-> L2 slices <-> DRAM.
+ *
+ * Each topology is a choice of noc::Net objects made at construction;
+ * one tick loop drives all of them.
  */
 
 #ifndef DCL1_CORE_GPU_SYSTEM_HH
@@ -30,8 +33,7 @@
 #include "mem/dram.hh"
 #include "mem/l2_slice.hh"
 #include "mem/replication_tracker.hh"
-#include "noc/cdxbar.hh"
-#include "noc/crossbar.hh"
+#include "noc/net.hh"
 #include "stats/latency_attr.hh"
 #include "stats/timeline.hh"
 #include "stats/trace_export.hh"
@@ -225,35 +227,22 @@ class GpuSystem
     {
         return channels_;
     }
-    std::vector<std::unique_ptr<noc::Crossbar>> &noc1ReqXbars()
+    /** The interconnect, one Net per direction (see nets_). */
+    const std::vector<std::unique_ptr<noc::Net>> &nets() const
     {
-        return noc1Req_;
-    }
-    std::vector<std::unique_ptr<noc::Crossbar>> &noc1ReplyXbars()
-    {
-        return noc1Reply_;
-    }
-    std::vector<std::unique_ptr<noc::Crossbar>> &noc2ReqXbars()
-    {
-        return noc2Req_;
-    }
-    std::vector<std::unique_ptr<noc::Crossbar>> &noc2ReplyXbars()
-    {
-        return noc2Reply_;
+        return nets_;
     }
 
   private:
     /** @p app may be null: no built-in source, cores start idle. */
-    void buildCommon(const workload::WorkloadParams *app,
-                     std::unique_ptr<workload::TraceSource> source);
-    void buildBaseline();
-    void buildCdx();
-    void buildDcl1();
+    void build(const workload::WorkloadParams *app,
+               std::unique_ptr<workload::TraceSource> source);
 
     void tickMemory();
-    void tickBaseline();
-    void tickCdx();
-    void tickDcl1();
+
+    /** Stamp @p req into segment @p seg and inject it into @p net. */
+    void send(noc::Net &net, std::uint32_t src, std::uint32_t dst,
+              mem::MemRequestPtr req, stats::Seg seg);
 
     /**
      * Host-profiler bookkeeping (called only while prof::active()):
@@ -264,6 +253,15 @@ class GpuSystem
 
     mem::CacheBankParams l1BankParams() const;
     mem::CacheBankParams l2BankParams() const;
+
+    /**
+     * Call @p f on every L1-level cache bank: the DC-L1 nodes' caches,
+     * or the cores' private L1s.
+     */
+    template <typename F> void forEachL1(F &&f) const;
+
+    /** Flits delivered by every crossbar at NoC level @p level. */
+    std::uint64_t nocFlits(std::uint32_t level) const;
 
     /** Attach every component StatGroup (and telemetry) to @p root. */
     void addStatChildren(stats::StatGroup &root);
@@ -282,25 +280,14 @@ class GpuSystem
     std::vector<std::unique_ptr<mem::L2Slice>> slices_;
     std::vector<std::unique_ptr<mem::DramChannel>> channels_;
 
-    /// @name Baseline / monolithic NoC
-    /// @{
-    std::unique_ptr<noc::Crossbar> mainReq_;
-    std::unique_ptr<noc::Crossbar> mainReply_;
-    /// @}
-
-    /// @name CdXbar NoC
-    /// @{
-    std::unique_ptr<noc::CdXbarNet> cdxReq_;
-    std::unique_ptr<noc::CdXbarNet> cdxReply_;
-    /// @}
-
-    /// @name DC-L1 NoCs
-    /// @{
-    std::vector<std::unique_ptr<noc::Crossbar>> noc1Req_;   ///< per Z
-    std::vector<std::unique_ptr<noc::Crossbar>> noc1Reply_; ///< per Z
-    std::vector<std::unique_ptr<noc::Crossbar>> noc2Req_;   ///< per M|1
-    std::vector<std::unique_ptr<noc::Crossbar>> noc2Reply_;
-    /// @}
+    /**
+     * One Net per direction: the request net the cores inject into and
+     * the reply net they eject from, then NoC#2's request and reply
+     * nets on DC-L1 designs. The L2 slices eject from nets_[size - 2]
+     * and inject into nets_.back(), so on the single-network designs
+     * they share the cores' pair.
+     */
+    std::vector<std::unique_ptr<noc::Net>> nets_;
 
     std::unique_ptr<stats::TimelineSampler> timeline_;
     std::unique_ptr<stats::LatencyAttribution> tlm_;
@@ -309,15 +296,6 @@ class GpuSystem
     Cycle cycle_ = 0;
     Cycle statStart_ = 0;
     bool draining_ = false;
-
-  public:
-    /// @name Debug hop counters (tickDcl1)
-    /// @{
-    std::uint64_t dbgNodeToMem = 0;   ///< Q3 -> NoC#2 injections
-    std::uint64_t dbgMemEject = 0;    ///< NoC#2 -> L2 ejections
-    std::uint64_t dbgL2Replies = 0;   ///< L2 -> NoC#2 reply injections
-    std::uint64_t dbgNodeFromMem = 0; ///< NoC#2 -> Q4 ejections
-    /// @}
 };
 
 } // namespace dcl1::core

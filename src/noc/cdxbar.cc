@@ -6,7 +6,7 @@
 namespace dcl1::noc
 {
 
-CdXbarNet::CdXbarNet(const CdxParams &params) : params_(params)
+CdXbarNet::CdXbarNet(const CdxParams &params) : Net(params.name)
 {
     if (params.clusters == 0 || params.perCluster == 0 ||
         params.trunksPerCluster == 0 || params.globalPorts == 0) {
@@ -15,173 +15,79 @@ CdXbarNet::CdXbarNet(const CdxParams &params) : params_(params)
     }
 
     const bool conc = params.direction == CdxDirection::Concentrate;
+    const std::uint32_t per = params.perCluster;
+    const std::uint32_t k = params.trunksPerCluster;
+    std::vector<Crossbar *> locals;
     for (std::uint32_t z = 0; z < params.clusters; ++z) {
         XbarParams xp;
         xp.name = params.name + ".local" + std::to_string(z);
-        xp.numInputs = conc ? params.perCluster : params.trunksPerCluster;
-        xp.numOutputs = conc ? params.trunksPerCluster : params.perCluster;
+        xp.numInputs = conc ? per : k;
+        xp.numOutputs = conc ? k : per;
         xp.inputQueueCap = params.inputQueueCap;
         xp.outputQueueCap = params.outputQueueCap;
         xp.routerLatency = params.routerLatency;
         xp.clockRatio = params.localClockRatio;
-        locals_.push_back(std::make_unique<Crossbar>(xp));
+        locals.push_back(&addXbar(xp, 1));
     }
 
     XbarParams gp;
     gp.name = params.name + ".global";
-    const std::uint32_t trunks = params.clusters * params.trunksPerCluster;
+    const std::uint32_t trunks = params.clusters * k;
     gp.numInputs = conc ? trunks : params.globalPorts;
     gp.numOutputs = conc ? params.globalPorts : trunks;
     gp.inputQueueCap = params.inputQueueCap;
     gp.outputQueueCap = params.outputQueueCap;
     gp.routerLatency = params.routerLatency;
     gp.clockRatio = params.globalClockRatio;
-    global_ = std::make_unique<Crossbar>(gp);
-}
+    Crossbar *global = &addXbar(gp, 2);
 
-std::uint32_t
-CdXbarNet::numNear() const
-{
-    return params_.clusters * params_.perCluster;
-}
-
-bool
-CdXbarNet::canInject(std::uint32_t src) const
-{
-    if (params_.direction == CdxDirection::Concentrate) {
-        return locals_[src / params_.perCluster]->canInject(
-            src % params_.perCluster);
+    // Cores attach to their cluster's local crossbar, slices to the
+    // global one; trunk z * K + k joins local z's port k to the global
+    // crossbar.
+    std::vector<Port> near;
+    for (std::uint32_t e = 0; e < params.clusters * per; ++e)
+        near.push_back({locals[e / per], e % per});
+    std::vector<Port> far;
+    for (std::uint32_t e = 0; e < params.globalPorts; ++e)
+        far.push_back({global, e});
+    for (std::uint32_t t = 0; t < trunks; ++t) {
+        const Port local{locals[t / k], t % k};
+        const Port trunk{global, t};
+        trunks_.push_back(conc ? Trunk{local, trunk} : Trunk{trunk, local});
     }
-    return global_->canInject(src);
-}
 
-void
-CdXbarNet::inject(std::uint32_t src, std::uint32_t dst,
-                  mem::MemRequestPtr req, std::uint32_t flits)
-{
-    Packet pkt;
-    pkt.flits = flits;
-    pkt.endpoint = dst;
-    pkt.req = std::move(req);
-    DCL1_CHECK_ONLY(++chkInjectedPkts_);
-
-    if (params_.direction == CdxDirection::Concentrate) {
-        // Core -> local crossbar; trunk chosen by final destination so
+    injectAt_ = conc ? near : far;
+    ejectAt_ = conc ? far : near;
+    for (std::uint32_t dst = 0; dst < ejectAt_.size(); ++dst) {
+        // Concentrate: the trunk is chosen by final destination so
         // traffic to different slices spreads over the K trunks.
-        pkt.src = src % params_.perCluster;
-        pkt.dst = dst % params_.trunksPerCluster;
-        locals_[src / params_.perCluster]->inject(std::move(pkt));
-    } else {
-        // Slice -> global crossbar; trunk of the destination cluster
-        // chosen by destination index for spread.
-        const std::uint32_t cluster = dst / params_.perCluster;
-        pkt.src = src;
-        pkt.dst = cluster * params_.trunksPerCluster +
-                  (dst % params_.trunksPerCluster);
-        global_->inject(std::move(pkt));
+        // Distribute: a trunk of the destination cluster, again chosen
+        // by destination index for spread.
+        firstHop_.push_back(conc ? dst % k : (dst / per) * k + dst % k);
     }
-}
-
-std::optional<mem::MemRequestPtr>
-CdXbarNet::eject(std::uint32_t dst)
-{
-    std::optional<Packet> pkt;
-    if (params_.direction == CdxDirection::Concentrate)
-        pkt = global_->eject(dst);
-    else
-        pkt = locals_[dst / params_.perCluster]->eject(
-            dst % params_.perCluster);
-    if (!pkt)
-        return std::nullopt;
-    DCL1_CHECK_ONLY(++chkEjectedPkts_);
-    return std::move(pkt->req);
 }
 
 void
 CdXbarNet::tick()
 {
-    for (auto &local : locals_)
-        local->tick();
-    global_->tick();
+    Net::tick();
 
 #if DCL1_CHECK_ENABLED
     if ((++tickCount_ & 63) == 0)
         checkInvariants();
 #endif
 
-    // Inter-stage glue: move packets that finished one stage into the
-    // next, respecting input-queue backpressure.
-    if (params_.direction == CdxDirection::Concentrate) {
-        for (std::uint32_t z = 0; z < params_.clusters; ++z) {
-            for (std::uint32_t k = 0; k < params_.trunksPerCluster; ++k) {
-                const std::uint32_t trunk =
-                    z * params_.trunksPerCluster + k;
-                while (locals_[z]->hasEjectable(k) &&
-                       global_->canInject(trunk)) {
-                    Packet pkt = *locals_[z]->eject(k);
-                    pkt.src = trunk;
-                    pkt.dst = pkt.endpoint;
-                    global_->inject(std::move(pkt));
-                }
-            }
-        }
-    } else {
-        for (std::uint32_t z = 0; z < params_.clusters; ++z) {
-            for (std::uint32_t k = 0; k < params_.trunksPerCluster; ++k) {
-                const std::uint32_t trunk =
-                    z * params_.trunksPerCluster + k;
-                while (global_->hasEjectable(trunk) &&
-                       locals_[z]->canInject(k)) {
-                    Packet pkt = *global_->eject(trunk);
-                    pkt.src = k;
-                    pkt.dst = pkt.endpoint % params_.perCluster;
-                    locals_[z]->inject(std::move(pkt));
-                }
-            }
+    // Move packets that finished one stage into the next, respecting
+    // input-queue backpressure.
+    for (const Trunk &t : trunks_) {
+        while (t.from.xbar->hasEjectable(t.from.port) &&
+               t.to.xbar->canInject(t.to.port)) {
+            Packet pkt = std::move(*t.from.xbar->eject(t.from.port));
+            pkt.src = t.to.port;
+            pkt.dst = ejectAt_[pkt.endpoint].port;
+            t.to.xbar->inject(std::move(pkt));
         }
     }
-}
-
-bool
-CdXbarNet::busy() const
-{
-    if (global_->busy())
-        return true;
-    for (const auto &local : locals_)
-        if (local->busy())
-            return true;
-    return false;
-}
-
-std::size_t
-CdXbarNet::pendingPackets() const
-{
-    std::size_t pending = global_->pendingPackets();
-    for (const auto &local : locals_)
-        pending += local->pendingPackets();
-    return pending;
-}
-
-void
-CdXbarNet::checkInvariants() const
-{
-#if DCL1_CHECK_ENABLED
-    const std::size_t inside = pendingPackets();
-    if (chkInjectedPkts_ != chkEjectedPkts_ + inside)
-        panic("CdXbarNet %s: packet conservation broken "
-              "(%llu injected, %llu ejected, %zu inside)",
-              params_.name.c_str(),
-              static_cast<unsigned long long>(chkInjectedPkts_),
-              static_cast<unsigned long long>(chkEjectedPkts_), inside);
-#endif // DCL1_CHECK_ENABLED
-}
-
-void
-CdXbarNet::resetStats()
-{
-    global_->resetStats();
-    for (auto &local : locals_)
-        local->resetStats();
 }
 
 } // namespace dcl1::noc

@@ -14,13 +14,10 @@
 #ifndef DCL1_NOC_CDXBAR_HH
 #define DCL1_NOC_CDXBAR_HH
 
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "noc/crossbar.hh"
-#include "noc/packet.hh"
+#include "noc/net.hh"
 
 namespace dcl1::noc
 {
@@ -44,65 +41,28 @@ struct CdxParams
     std::uint32_t routerLatency = 2;
 };
 
-/** See file comment. */
-class CdXbarNet
+/**
+ * See file comment. Concentrate nets take cores as sources and slices
+ * as destinations; Distribute nets the reverse.
+ */
+class CdXbarNet : public Net
 {
   public:
     explicit CdXbarNet(const CdxParams &params);
 
-    /** Number of near-side endpoints (cores). */
-    std::uint32_t numNear() const;
-    /** Number of far-side endpoints (L2 slices). */
-    std::uint32_t numFar() const { return params_.globalPorts; }
-
-    /**
-     * Can endpoint @p src inject? For Concentrate, src is a near-side
-     * (core) index; for Distribute a far-side (slice) index.
-     */
-    bool canInject(std::uint32_t src) const;
-
-    /** Inject a request/reply from @p src to @p dst. */
-    void inject(std::uint32_t src, std::uint32_t dst,
-                mem::MemRequestPtr req, std::uint32_t flits);
-
-    /** Pop a delivered packet at destination endpoint @p dst. */
-    std::optional<mem::MemRequestPtr> eject(std::uint32_t dst);
-
-    /** Advance one core cycle (both stages + inter-stage glue). */
-    void tick();
-
-    bool busy() const;
-
-    const CdxParams &params() const { return params_; }
-    Crossbar &globalXbar() { return *global_; }
-    std::vector<std::unique_ptr<Crossbar>> &localXbars() { return locals_; }
-
-    void resetStats();
-
-    /** Packets buffered or in flight anywhere in either stage. */
-    std::size_t pendingPackets() const;
-
-    /**
-     * Verify end-to-end conservation across the two stages
-     * (DCL1_CHECK builds): every packet injected into the net was
-     * either ejected or is still inside one of the crossbars.
-     * panic()s on violation. Each member crossbar additionally runs
-     * its own internal audit on its own cadence.
-     */
-    void checkInvariants() const;
+    /** Advance both stages, then move packets across the trunks. */
+    void tick() override;
 
   private:
-    CdxParams params_;
-    std::vector<std::unique_ptr<Crossbar>> locals_; ///< Z local xbars
-    std::unique_ptr<Crossbar> global_;
+    /** A trunk link: an output of one stage feeding the next stage. */
+    struct Trunk
+    {
+        Port from;
+        Port to;
+    };
 
+    std::vector<Trunk> trunks_;
     Cycle tickCount_ = 0;
-
-    /// @name Net-level conservation counters (DCL1_CHECK)
-    /// @{
-    std::uint64_t chkInjectedPkts_ = 0;
-    std::uint64_t chkEjectedPkts_ = 0;
-    /// @}
 };
 
 } // namespace dcl1::noc

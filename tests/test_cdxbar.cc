@@ -39,8 +39,8 @@ tagged(std::uint32_t tag)
 TEST(CdXbar, GeometryAccessors)
 {
     CdXbarNet net(params(CdxDirection::Concentrate));
-    EXPECT_EQ(net.numNear(), 32u);
-    EXPECT_EQ(net.numFar(), 8u);
+    EXPECT_EQ(net.numSources(), 32u);
+    EXPECT_EQ(net.numDests(), 8u);
 }
 
 TEST(CdXbar, ConcentrateDelivers)
@@ -51,8 +51,7 @@ TEST(CdXbar, ConcentrateDelivers)
     mem::MemRequestPtr got;
     for (int t = 0; t < 50 && !got; ++t) {
         net.tick();
-        if (auto r = net.eject(3))
-            got = std::move(*r);
+        got = net.eject(3);
     }
     ASSERT_TRUE(got);
     EXPECT_EQ(got->core, 42u);
@@ -66,8 +65,7 @@ TEST(CdXbar, DistributeDelivers)
     mem::MemRequestPtr got;
     for (int t = 0; t < 50 && !got; ++t) {
         net.tick();
-        if (auto r = net.eject(17))
-            got = std::move(*r);
+        got = net.eject(17);
     }
     ASSERT_TRUE(got);
     EXPECT_EQ(got->core, 9u);
@@ -78,22 +76,22 @@ TEST(CdXbar, AllPairsEventuallyDeliver)
     CdXbarNet net(params(CdxDirection::Concentrate));
     std::map<std::uint32_t, int> received;
     int sent = 0;
-    for (std::uint32_t src = 0; src < net.numNear(); ++src) {
-        for (std::uint32_t dst = 0; dst < net.numFar(); ++dst) {
+    for (std::uint32_t src = 0; src < net.numSources(); ++src) {
+        for (std::uint32_t dst = 0; dst < net.numDests(); ++dst) {
             // Inject lazily while ticking to respect backpressure.
             while (!net.canInject(src))
                 net.tick();
             net.inject(src, dst, tagged(src * 100 + dst), 1);
             ++sent;
             net.tick();
-            for (std::uint32_t d = 0; d < net.numFar(); ++d)
+            for (std::uint32_t d = 0; d < net.numDests(); ++d)
                 while (auto r = net.eject(d))
                     received[d]++;
         }
     }
     for (int t = 0; t < 500; ++t) {
         net.tick();
-        for (std::uint32_t d = 0; d < net.numFar(); ++d)
+        for (std::uint32_t d = 0; d < net.numDests(); ++d)
             while (auto r = net.eject(d))
                 received[d]++;
     }
@@ -103,8 +101,8 @@ TEST(CdXbar, AllPairsEventuallyDeliver)
     EXPECT_EQ(total, sent);
     EXPECT_FALSE(net.busy());
     // Every far port received one packet per near port.
-    for (std::uint32_t d = 0; d < net.numFar(); ++d)
-        EXPECT_EQ(received[d], int(net.numNear()));
+    for (std::uint32_t d = 0; d < net.numDests(); ++d)
+        EXPECT_EQ(received[d], int(net.numSources()));
 }
 
 TEST(CdXbar, SlowLocalStageLimitsThroughput)
@@ -118,12 +116,12 @@ TEST(CdXbar, SlowLocalStageLimitsThroughput)
         Rng rng(3);
         std::uint64_t done = 0;
         for (int t = 0; t < 3000; ++t) {
-            for (std::uint32_t s = 0; s < net.numNear(); ++s)
+            for (std::uint32_t s = 0; s < net.numSources(); ++s)
                 if (net.canInject(s))
                     net.inject(s, std::uint32_t(rng.below(8)),
                                tagged(s), 1);
             net.tick();
-            for (std::uint32_t d = 0; d < net.numFar(); ++d)
+            for (std::uint32_t d = 0; d < net.numDests(); ++d)
                 while (net.eject(d))
                     ++done;
         }
