@@ -100,7 +100,6 @@ CacheBank::access(MemRequestPtr &req, Cycle now)
     if (write && params_.policy == WritePolicy::WriteEvict) {
         if (downstream_.full()) {
             ++blocked_;
-            ++dbgBlockedWriteDs;
             return AccessOutcome::Blocked;
         }
     } else if (!write && !params_.perfect && !tags_.contains(line)) {
@@ -108,10 +107,6 @@ CacheBank::access(MemRequestPtr &req, Cycle now)
             // merge path checked below (may still fail on targets)
         } else if (mshr_.full() || downstream_.full()) {
             ++blocked_;
-            if (mshr_.full())
-                ++dbgBlockedMshrFull;
-            else
-                ++dbgBlockedReadDs;
             return AccessOutcome::Blocked;
         }
     }
@@ -179,7 +174,6 @@ CacheBank::access(MemRequestPtr &req, Cycle now)
     MshrOutcome mo = mshr_.registerMiss(line, req);
     switch (mo) {
       case MshrOutcome::NewEntry:
-        ++dbgFetchesSent;
         ++req->fetchDepth;
         req->payloadBytes = 0;
         downstream_.push(std::move(req));
@@ -191,7 +185,6 @@ CacheBank::access(MemRequestPtr &req, Cycle now)
       case MshrOutcome::NoTargetFree:
         // Roll back the stats charged above; the caller retries.
         ++blocked_;
-        ++dbgBlockedTargets;
         accesses_.set(accesses_.value() - 1);
         readAccesses_.set(readAccesses_.value() - 1);
         misses_.set(misses_.value() - 1);
@@ -256,7 +249,6 @@ CacheBank::fill(MemRequestPtr reply, Cycle now)
         installLine(line, /*dirty=*/false);
     }
 
-    ++dbgFillsReceived;
     std::vector<MemRequestPtr> targets = mshr_.completeFetch(line);
     if (inFlightFetches_ == 0)
         panic("cache %s: fetch fill underflow", params_.name.c_str());

@@ -181,17 +181,6 @@ class CacheBank
     stats::Scalar mshrMerges_;
     stats::Scalar blocked_;
     stats::Scalar writebacks_;
-
-  public:
-    /// @name Debug: blocked-reason counters
-    /// @{
-    std::uint64_t dbgBlockedWriteDs = 0;
-    std::uint64_t dbgBlockedMshrFull = 0;
-    std::uint64_t dbgBlockedReadDs = 0;
-    std::uint64_t dbgBlockedTargets = 0;
-    std::uint64_t dbgFetchesSent = 0;
-    std::uint64_t dbgFillsReceived = 0;
-    /// @}
 };
 
 } // namespace dcl1::mem

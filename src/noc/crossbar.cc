@@ -148,16 +148,12 @@ Crossbar::allocate()
     std::uint32_t num_grants = 0;
 
     for (std::uint32_t out = 0; out < params_.numOutputs; ++out) {
-        if (outputFreeAt_[out] > nocCycle_) {
-            ++dbgOutBusy;
+        if (outputFreeAt_[out] > nocCycle_)
             continue;
-        }
         // Backpressure: don't start a transfer that could overflow the
         // output queue.
-        if (outQ_[out].size() + outReserved_[out] >= params_.outputQueueCap) {
-            ++dbgOutQFull;
+        if (outQ_[out].size() + outReserved_[out] >= params_.outputQueueCap)
             continue;
-        }
         const auto &bits = reqBits_[out];
         // Find the first requesting *and currently free* input at or
         // after the grant pointer.
@@ -172,16 +168,8 @@ Crossbar::allocate()
             granted = in;
             break;
         }
-        if (granted < params_.numInputs) {
+        if (granted < params_.numInputs)
             grants[num_grants++] = {granted, out};
-            ++dbgGrants;
-        } else {
-            bool any = bits[0] || bits[1];
-            if (any)
-                ++dbgNoFreeInput;
-            else
-                ++dbgNoRequest;
-        }
     }
 
     // Accept phase: each input accepts at most one grant (RR pointer).
@@ -218,28 +206,10 @@ Crossbar::allocate()
         inTransit_.emplace_back(
             nocCycle_ + busy + params_.routerLatency, std::move(pkt));
 
-        ++dbgAccepts;
-
         // iSLIP pointer updates on successful match.
         grantPtr_[best_out] = (in + 1) % params_.numInputs;
         acceptPtr_[in] = (best_out + 1) % params_.numOutputs;
     }
-}
-
-std::array<std::uint64_t, 4>
-Crossbar::dbgVoqState() const
-{
-    std::uint64_t sum_voq = 0, sum_occ = 0, nonempty = 0, bits_set = 0;
-    for (const auto &q : voq_) {
-        sum_voq += q.size();
-        if (!q.empty())
-            ++nonempty;
-    }
-    for (auto occ : inputOcc_)
-        sum_occ += occ;
-    for (const auto &b : reqBits_)
-        bits_set += __builtin_popcountll(b[0]) + __builtin_popcountll(b[1]);
-    return {sum_voq, sum_occ, nonempty, bits_set};
 }
 
 std::size_t

@@ -90,19 +90,6 @@ class Crossbar
     void resetStats();
     /// @}
 
-    /// @name Allocator debug counters (per nocTick sums)
-    /// @{
-    std::uint64_t dbgOutBusy = 0;
-    std::uint64_t dbgOutQFull = 0;
-    std::uint64_t dbgNoRequest = 0;
-    std::uint64_t dbgNoFreeInput = 0;
-    std::uint64_t dbgGrants = 0;
-    std::uint64_t dbgAccepts = 0;
-    /** Consistency probe: {sum voq sizes, sum inputOcc, nonempty voqs,
-     *  set request bits}. */
-    std::array<std::uint64_t, 4> dbgVoqState() const;
-    /// @}
-
     /** Packets buffered or in flight anywhere inside the switch. */
     std::size_t pendingPackets() const;
 
