@@ -103,11 +103,13 @@ DesignConfig::validate(const SystemConfig &sys) const
     if (sys.numCores % clusters != 0)
         fatal("design %s: %u cores not divisible by %u clusters",
               name.c_str(), sys.numCores, clusters);
+}
+
+bool
+DesignConfig::partitionedNoc2(const SystemConfig &sys) const
+{
     const std::uint32_t m = nodesPerCluster();
-    if (m > 1 && sys.numL2Slices % m != 0) {
-        // Partitioned NoC#2 impossible; a full crossbar is used instead
-        // (this is the Sh40 case in the paper). Nothing to reject.
-    }
+    return topology == Topology::DcL1 && m > 1 && sys.numL2Slices % m == 0;
 }
 
 std::uint32_t
@@ -180,9 +182,8 @@ crossbarInventory(const DesignConfig &design, const SystemConfig &sys)
     inv.push_back({n, m, z, design.noc1ClockRatio, kShortLinkMm, 1});
     inv.push_back({m, n, z, design.noc1ClockRatio, kShortLinkMm, 1});
 
-    // NoC#2: partitioned when the per-cluster home count divides the
-    // slice count; otherwise one full crossbar (the Sh40 case).
-    if (m > 1 && l % m == 0) {
+    // NoC#2: M partitions of Z x L/M, or one full Y x L crossbar.
+    if (design.partitionedNoc2(sys)) {
         inv.push_back({z, l / m, m, design.noc2ClockRatio, kLongLinkMm});
         inv.push_back({l / m, z, m, design.noc2ClockRatio, kLongLinkMm});
     } else {

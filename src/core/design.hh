@@ -91,6 +91,14 @@ struct DesignConfig
         return sys.numCores / clusters;
     }
 
+    /**
+     * Is NoC#2 partitioned into nodesPerCluster() independent
+     * crossbars? That needs a DC-L1 design with several homes per
+     * cluster whose count divides the slice count; otherwise NoC#2 is
+     * one full crossbar (the paper's Sh40 case).
+     */
+    bool partitionedNoc2(const SystemConfig &sys) const;
+
     /** Validate against a platform; fatal() on inconsistency. */
     void validate(const SystemConfig &sys) const;
 

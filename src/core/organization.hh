@@ -34,7 +34,8 @@ class Organization
           clusters_(design.clusters),
           nodesPerCluster_(design.nodesPerCluster()),
           coresPerCluster_(design.coresPerCluster(sys)),
-          chunkBytes_(sys.chunkBytes), numSlices_(sys.numL2Slices)
+          chunkBytes_(sys.chunkBytes),
+          partitionedNoc2_(design.partitionedNoc2(sys))
     {
         design.validate(sys);
     }
@@ -74,15 +75,8 @@ class Organization
                homeWithinCluster(addr);
     }
 
-    /**
-     * Is NoC#2 partitioned into nodesPerCluster independent crossbars
-     * (requires the home count to divide the slice count)?
-     */
-    bool
-    partitionedNoc2() const
-    {
-        return nodesPerCluster_ > 1 && numSlices_ % nodesPerCluster_ == 0;
-    }
+    /** See DesignConfig::partitionedNoc2(). */
+    bool partitionedNoc2() const { return partitionedNoc2_; }
 
     /**
      * Sanity: the L2 slice of @p addr must belong to the home's slice
@@ -103,7 +97,7 @@ class Organization
     std::uint32_t nodesPerCluster_;
     std::uint32_t coresPerCluster_;
     std::uint32_t chunkBytes_;
-    std::uint32_t numSlices_;
+    bool partitionedNoc2_;
 };
 
 } // namespace dcl1::core
