@@ -15,6 +15,21 @@
 #include "mem/queues.hh"
 #include "mem/request.hh"
 
+namespace dcl1::core
+{
+
+/**
+ * Print a design by name. gtest's fallback prints the raw bytes, which
+ * hold a heap address, so test names would change between builds.
+ */
+void
+PrintTo(const DesignConfig &d, std::ostream *os)
+{
+    *os << d.name;
+}
+
+} // namespace dcl1::core
+
 namespace
 {
 
