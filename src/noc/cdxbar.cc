@@ -23,9 +23,6 @@ CdXbarNet::CdXbarNet(const CdxParams &params) : Net(params.name)
         xp.name = params.name + ".local" + std::to_string(z);
         xp.numInputs = conc ? per : k;
         xp.numOutputs = conc ? k : per;
-        xp.inputQueueCap = params.inputQueueCap;
-        xp.outputQueueCap = params.outputQueueCap;
-        xp.routerLatency = params.routerLatency;
         xp.clockRatio = params.localClockRatio;
         locals.push_back(&addXbar(xp, 1));
     }
@@ -35,9 +32,6 @@ CdXbarNet::CdXbarNet(const CdxParams &params) : Net(params.name)
     const std::uint32_t trunks = params.clusters * k;
     gp.numInputs = conc ? trunks : params.globalPorts;
     gp.numOutputs = conc ? params.globalPorts : trunks;
-    gp.inputQueueCap = params.inputQueueCap;
-    gp.outputQueueCap = params.outputQueueCap;
-    gp.routerLatency = params.routerLatency;
     gp.clockRatio = params.globalClockRatio;
     Crossbar *global = &addXbar(gp, 2);
 

@@ -36,9 +36,6 @@ struct CdxParams
     std::uint32_t globalPorts = 32;  ///< M (far-side port count)
     double localClockRatio = 0.5;
     double globalClockRatio = 0.5;
-    std::uint32_t inputQueueCap = 16;
-    std::uint32_t outputQueueCap = 4;
-    std::uint32_t routerLatency = 2;
 };
 
 /**

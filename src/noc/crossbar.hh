@@ -10,6 +10,13 @@
  * after the router pipeline latency. The crossbar runs at a rational
  * ratio of the core clock (0.5 at the platform's 700 MHz; 1.0 when the
  * paper's *Boost* doubles NoC#1 frequency).
+ *
+ * Storage is fixed at construction. Each input owns `inputQueueCap`
+ * packet slots; its VOQs are singly linked lists threaded through
+ * those slots, and the unused ones form the input's free list. Each
+ * output queue is a ring of `outputQueueCap` slots. Requests, free
+ * inputs and grants are 128-bit port masks, so the allocator finds
+ * each round-robin winner with a find-first-set.
  */
 
 #ifndef DCL1_NOC_CROSSBAR_HH
@@ -17,7 +24,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
@@ -66,7 +72,6 @@ class Crossbar
     bool busy() const;
 
     const XbarParams &params() const { return params_; }
-    Cycle nocCycles() const { return nocCycle_; }
 
     /// @name Statistics
     /// @{
@@ -75,18 +80,8 @@ class Crossbar
     std::uint64_t totalFlits() const { return flits_.value(); }
     /** Flits delivered through @p output (for link utilization). */
     std::uint64_t outputFlits(std::uint32_t output) const;
-    std::uint32_t inputOccupancy(std::uint32_t input) const
-    {
-        return inputOcc_[input];
-    }
-    std::size_t outQueueSize(std::uint32_t output) const
-    {
-        return outQ_[output].size();
-    }
     /** Utilization of @p output's link: busy NoC cycles / NoC cycles. */
     double outputUtilization(std::uint32_t output) const;
-    /** Mean in-network latency in NoC cycles. */
-    double avgPacketLatency() const;
     void resetStats();
     /// @}
 
@@ -94,15 +89,44 @@ class Crossbar
     std::size_t pendingPackets() const;
 
     /**
-     * Verify internal bookkeeping (DCL1_CHECK builds): VOQ occupancy
-     * vs. per-input credits, request-bit consistency, per-output
-     * reservations vs. in-transit packets, output-queue bounds, and
-     * packet/flit conservation (everything injected is either
+     * Verify internal bookkeeping (DCL1_CHECK builds): every VOQ list
+     * stays inside its input's slots, holds only packets for its
+     * output and ends at its tail; free plus queued slots fill each
+     * input's share; request bits mirror VOQ non-emptiness; per-output
+     * reservations match in-transit packets and output-queue bounds;
+     * and packet/flit conservation (everything injected is either
      * delivered or still inside). panic()s on violation.
      */
     void checkInvariants() const;
 
   private:
+    /** A set of up to 128 ports, bit p = port p. */
+    using PortMask = std::array<std::uint64_t, 2>;
+
+    /** End of a slot list. */
+    static constexpr std::uint32_t kNil = ~std::uint32_t(0);
+
+    /** A VOQ or free-list slot of the input pool. */
+    struct Slot
+    {
+        Packet pkt;
+        std::uint32_t next = kNil; ///< next slot of the same list
+    };
+
+    /** A VOQ: the oldest and newest slot of its list. */
+    struct Voq
+    {
+        std::uint32_t head = kNil; ///< kNil when empty
+        std::uint32_t tail = kNil;
+    };
+
+    /** An output queue: a ring of outputQueueCap packets. */
+    struct OutQueue
+    {
+        std::uint32_t head = 0; ///< ring index of the oldest packet
+        std::uint32_t size = 0;
+    };
+
     void nocTick();
     void allocate();
 
@@ -111,11 +135,17 @@ class Crossbar
         return std::size_t(in) * params_.numOutputs + out;
     }
 
+    /** Ring slot of @p out's queue @p pos packets past its head. */
+    Packet &outSlot(std::uint32_t out, std::uint32_t pos);
+
     XbarParams params_;
 
-    std::vector<std::deque<Packet>> voq_;       ///< I*O queues
+    std::vector<Slot> slots_;                   ///< I * inputQueueCap
+    std::vector<std::uint32_t> freeHead_;       ///< per input
+    std::vector<Voq> voq_;                      ///< I * O
     std::vector<std::uint32_t> inputOcc_;       ///< packets per input
-    std::vector<std::array<std::uint64_t, 2>> reqBits_; ///< per output
+    std::vector<PortMask> reqBits_;             ///< inputs, per output
+    std::vector<PortMask> grants_;              ///< outputs, per input
     std::vector<std::uint32_t> grantPtr_;       ///< per output (iSLIP)
     std::vector<std::uint32_t> acceptPtr_;      ///< per input (iSLIP)
     std::vector<Cycle> inputFreeAt_;            ///< NoC cycles
@@ -125,7 +155,8 @@ class Crossbar
     /** Packets traversing the switch: ready NoC cycle + packet. */
     std::vector<std::pair<Cycle, Packet>> inTransit_;
 
-    std::vector<std::deque<Packet>> outQ_;
+    std::vector<Packet> outRing_;               ///< O * outputQueueCap
+    std::vector<OutQueue> outQ_;
 
     Cycle nocCycle_ = 0;
     double phase_ = 0.0;

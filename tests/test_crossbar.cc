@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <deque>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -138,6 +144,18 @@ TEST(Crossbar, RejectsBadPorts)
     EXPECT_DEATH(x.inject(packet(0, 5)), "out of range");
 }
 
+TEST(Crossbar, RejectsZeroQueueCaps)
+{
+    XbarParams no_input = params(2, 2);
+    no_input.inputQueueCap = 0;
+    EXPECT_EXIT(Crossbar{no_input}, ::testing::ExitedWithCode(1),
+                "queue capacities must be nonzero");
+    XbarParams no_output = params(2, 2);
+    no_output.outputQueueCap = 0;
+    EXPECT_EXIT(Crossbar{no_output}, ::testing::ExitedWithCode(1),
+                "queue capacities must be nonzero");
+}
+
 TEST(Crossbar, TracksOutputFlits)
 {
     Crossbar x(params(2, 2));
@@ -241,5 +259,228 @@ TEST(Crossbar, Fairness)
     for (int in = 0; in < 4; ++in)
         EXPECT_NEAR(served[in] / total, 0.25, 0.05);
 }
+
+/**
+ * Reference model: the crossbar's earlier allocator over std::deque
+ * VOQs and output queues. The grant phase walks every input with a
+ * `%` for each free output; the accept phase loops over all grants for
+ * each input. Timing, backpressure and pointer rules are Crossbar's.
+ */
+class ScanCrossbar
+{
+  public:
+    explicit ScanCrossbar(const XbarParams &p)
+        : p_(p), voq_(std::size_t(p.numInputs) * p.numOutputs),
+          occ_(p.numInputs, 0), grantPtr_(p.numOutputs, 0),
+          acceptPtr_(p.numInputs, 0), inputFreeAt_(p.numInputs, 0),
+          outputFreeAt_(p.numOutputs, 0), outReserved_(p.numOutputs, 0),
+          outQ_(p.numOutputs)
+    {
+    }
+
+    bool canInject(std::uint32_t in) const
+    {
+        return occ_[in] < p_.inputQueueCap;
+    }
+
+    void
+    inject(Packet pkt)
+    {
+        ++occ_[pkt.src];
+        voq(pkt.src, pkt.dst).push_back(std::move(pkt));
+    }
+
+    std::optional<Packet>
+    eject(std::uint32_t out)
+    {
+        auto &q = outQ_[out];
+        if (q.empty())
+            return std::nullopt;
+        Packet pkt = std::move(q.front());
+        q.pop_front();
+        return pkt;
+    }
+
+    void
+    tick()
+    {
+        phase_ += p_.clockRatio;
+        while (phase_ >= 1.0) {
+            phase_ -= 1.0;
+            nocTick();
+        }
+    }
+
+    /** Free outputs skipped because their queue had no room. */
+    std::uint64_t backpressured() const { return backpressured_; }
+
+  private:
+    std::deque<Packet> &
+    voq(std::uint32_t in, std::uint32_t out)
+    {
+        return voq_[std::size_t(in) * p_.numOutputs + out];
+    }
+
+    void
+    nocTick()
+    {
+        ++now_;
+        for (std::size_t i = 0; i < inTransit_.size();) {
+            if (inTransit_[i].first > now_) {
+                ++i;
+                continue;
+            }
+            Packet pkt = std::move(inTransit_[i].second);
+            inTransit_[i] = std::move(inTransit_.back());
+            inTransit_.pop_back();
+            --outReserved_[pkt.dst];
+            outQ_[pkt.dst].push_back(std::move(pkt));
+        }
+        allocate();
+    }
+
+    void
+    allocate()
+    {
+        const std::uint32_t ins = p_.numInputs;
+        const std::uint32_t outs = p_.numOutputs;
+        std::vector<std::pair<std::uint32_t, std::uint32_t>> grants;
+        for (std::uint32_t out = 0; out < outs; ++out) {
+            if (outputFreeAt_[out] > now_)
+                continue;
+            if (outQ_[out].size() + outReserved_[out] >= p_.outputQueueCap) {
+                ++backpressured_;
+                continue;
+            }
+            for (std::uint32_t off = 0; off < ins; ++off) {
+                const std::uint32_t in = (grantPtr_[out] + off) % ins;
+                if (!voq(in, out).empty() && inputFreeAt_[in] <= now_) {
+                    grants.emplace_back(in, out);
+                    break;
+                }
+            }
+        }
+        for (std::uint32_t in = 0; in < ins; ++in) {
+            std::uint32_t best = outs;
+            std::uint32_t best_dist = outs;
+            for (const auto &[g_in, out] : grants) {
+                const std::uint32_t dist =
+                    (out + outs - acceptPtr_[in]) % outs;
+                if (g_in == in && dist < best_dist) {
+                    best = out;
+                    best_dist = dist;
+                }
+            }
+            if (best == outs)
+                continue;
+            auto &q = voq(in, best);
+            Packet pkt = std::move(q.front());
+            q.pop_front();
+            --occ_[in];
+            const Cycle busy = pkt.flits;
+            inputFreeAt_[in] = now_ + busy;
+            outputFreeAt_[best] = now_ + busy;
+            ++outReserved_[best];
+            inTransit_.emplace_back(now_ + busy + p_.routerLatency,
+                                    std::move(pkt));
+            grantPtr_[best] = (in + 1) % ins;
+            acceptPtr_[in] = (best + 1) % outs;
+        }
+    }
+
+    XbarParams p_;
+    std::vector<std::deque<Packet>> voq_;
+    std::vector<std::uint32_t> occ_;
+    std::vector<std::uint32_t> grantPtr_;
+    std::vector<std::uint32_t> acceptPtr_;
+    std::vector<Cycle> inputFreeAt_;
+    std::vector<Cycle> outputFreeAt_;
+    std::vector<std::uint32_t> outReserved_;
+    std::vector<std::pair<Cycle, Packet>> inTransit_;
+    std::vector<std::deque<Packet>> outQ_;
+    Cycle now_ = 0;
+    double phase_ = 0.0;
+    std::uint64_t backpressured_ = 0;
+};
+
+/**
+ * Differential property: under identical random traffic (1-5 flit
+ * packets, heavy enough to fill VOQs) and random ejection stalls (so
+ * output queues fill too), Crossbar delivers exactly what the scan
+ * model delivers, in the same NoC cycle, order and port.
+ */
+class XbarDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t,
+                                                 std::uint32_t>>
+{
+};
+
+TEST_P(XbarDifferentialTest, MatchesScanAllocator)
+{
+    const auto [ins, outs] = GetParam();
+    // One NoC cycle per tick, so the tick below is the NoC cycle.
+    const XbarParams p = params(ins, outs, 1.0);
+    Crossbar x(p);
+    ScanCrossbar ref(p);
+    Rng rng(ins * 1000 + outs);
+
+    // (NoC cycle, output, src, endpoint) of every ejected packet.
+    using Delivery = std::array<std::uint64_t, 4>;
+    std::vector<Delivery> got;
+    std::vector<Delivery> want;
+    std::uint64_t refused = 0;
+    std::uint32_t next_id = 0;
+    for (std::uint64_t t = 1; t <= 3000; ++t) {
+        for (std::uint32_t in = 0; in < ins; ++in) {
+            if (!rng.chance(0.3))
+                continue;
+            ASSERT_EQ(x.canInject(in), ref.canInject(in))
+                << "cycle " << t << " input " << in;
+            if (!x.canInject(in)) {
+                ++refused;
+                continue;
+            }
+            Packet a = packet(in, std::uint32_t(rng.below(outs)),
+                              1 + std::uint32_t(rng.below(5)));
+            a.endpoint = next_id++;
+            Packet b = packet(a.src, a.dst, a.flits);
+            b.endpoint = a.endpoint;
+            x.inject(std::move(a));
+            ref.inject(std::move(b));
+        }
+        x.tick();
+        ref.tick();
+        // A stalled output ejects nothing this cycle; a live one
+        // ejects at most one packet.
+        for (std::uint32_t out = 0; out < outs; ++out) {
+            if (rng.chance(0.6))
+                continue;
+            if (auto pkt = x.eject(out))
+                got.push_back({t, out, pkt->src, pkt->endpoint});
+            if (auto pkt = ref.eject(out))
+                want.push_back({t, out, pkt->src, pkt->endpoint});
+        }
+    }
+    // The traffic engaged input and output backpressure.
+    EXPECT_GT(refused, 0u);
+    EXPECT_GT(ref.backpressured(), 0u);
+    EXPECT_GT(want.size(), 1000u);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(got[i], want[i]) << "delivery " << i;
+}
+
+// 65 and 128 ports reach the second mask word; every geometry wraps
+// its grant and accept pointers many times.
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, XbarDifferentialTest,
+    ::testing::Values(std::make_tuple(80u, 32u), std::make_tuple(32u, 80u),
+                      std::make_tuple(8u, 4u), std::make_tuple(10u, 8u),
+                      std::make_tuple(65u, 3u),
+                      std::make_tuple(128u, 128u)),
+    [](const auto &info) {
+        return std::to_string(std::get<0>(info.param)) + "x" +
+               std::to_string(std::get<1>(info.param));
+    });
 
 } // anonymous namespace
