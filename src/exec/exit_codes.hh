@@ -30,8 +30,9 @@ inline constexpr int kExitRunFailed = 2;
 inline constexpr int kExitFailedCells = 3;
 
 /** Sweep interrupted (SIGINT / --interrupt-after): in-flight jobs
- *  were drained, the run manifest was finalized, and the batch can be
- *  continued with --resume=DIR. No CSV is written. */
+ *  were drained, the run manifest was finalized (a --worker pass
+ *  leaves that to the merge run), and the batch can be continued with
+ *  --resume=DIR. No CSV is written. */
 inline constexpr int kExitResumable = 4;
 
 /** Sweep completed and every failed cell was *quarantined*: its

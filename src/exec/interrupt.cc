@@ -32,7 +32,8 @@ installSignalHandlers()
 {
     std::signal(SIGINT, interruptHandler);
     // Fleet orchestrators stop workers with SIGTERM; a cooperative
-    // drain releases leases and leaves the run directory resumable.
+    // drain publishes the in-flight cells and leaves the run
+    // directory resumable.
     std::signal(SIGTERM, interruptHandler);
 }
 

@@ -5,13 +5,14 @@
  * A durable sweep must not die mid-record on Ctrl-C or a fleet
  * launcher's terminate: the handler only raises a flag; the JobRunner
  * stops dispatching new jobs, drains the ones already in flight,
- * finalizes the run manifest, and the tool exits with kExitResumable.
- * SIGTERM matters for fleet workers: orchestrators (dcl1fleet, CI
- * runners, kubelet-style supervisors) terminate with SIGTERM, and a
- * worker that drains cooperatively releases its leases and leaves a
- * resumable run directory instead of stale-lease debris. A second
- * signal (either one) restores the default disposition and re-raises,
- * so an impatient double Ctrl-C still force-kills.
+ * finalizes the run manifest (a fleet worker leaves that to the
+ * merge), and the tool exits with kExitResumable. SIGTERM matters for
+ * fleet workers: orchestrators (dcl1fleet, CI runners, kubelet-style
+ * supervisors) terminate with SIGTERM, and a worker that drains
+ * cooperatively finishes every cell it claimed, so the merge has none
+ * of them to redo. A second signal (either one) restores the default
+ * disposition and re-raises, so an impatient double Ctrl-C still
+ * force-kills.
  *
  * Tests (and the deterministic CI smoke) inject the same signal via
  * requestInterrupt() instead of delivering a real signal.

@@ -136,15 +136,10 @@ JobRunner::addSink(ResultSink *sink)
 }
 
 void
-JobRunner::attachManifest(RunManifest *manifest)
+JobRunner::attachManifest(RunManifest *manifest, bool claim_cells)
 {
     manifest_ = manifest;
-}
-
-void
-JobRunner::attachCoordinator(CellCoordinator *coordinator)
-{
-    coordinator_ = coordinator;
+    claimCells_ = manifest && claim_cells;
 }
 
 unsigned
@@ -215,13 +210,11 @@ JobRunner::run(const std::vector<JobSpec> &specs)
         r.key = spec.key;
         r.worker = worker;
 
-        // Multi-process claim: exactly one worker process may own a
-        // keyed cell at a time. Busy is not a failure — the cell is
-        // deferred and the worker driver re-checks it next round.
-        const bool coordinated = coordinator_ && !spec.key.empty();
-        if (coordinated &&
-            coordinator_->tryAcquire(spec.key) ==
-                CellCoordinator::Claim::Busy) {
+        // Fleet worker: only the process that claims a cell runs it.
+        // A cell claimed elsewhere is deferred, not failed — its
+        // claimant publishes it, or the merge run does if it died.
+        if (claimCells_ && !spec.key.empty() &&
+            !manifest_->claim(spec.key)) {
             r.deferred = true;
             results[index] = std::move(r);
             sinks_.jobDone(results[index]);
@@ -301,18 +294,10 @@ JobRunner::run(const std::vector<JobSpec> &specs)
                     HostClock::now() - job_start)
                     .count());
 
-        // Pre-publish ownership verification: if the lease was
-        // reclaimed while the job ran (this process was presumed
-        // dead), the reclaimer's re-run owns the cell now — drop the
-        // result rather than double-publish.
-        if (coordinated && !coordinator_->confirmPublish(spec.key))
-            r.lost = true;
-
-        if (!r.ok && !r.lost && !crash_dir.empty())
+        if (!r.ok && !crash_dir.empty())
             writeCrashRecord(crash_dir, r, crash_context);
 
-        if (manifest_ && !spec.key.empty() && !r.lost &&
-            (r.ok || r.quarantined)) {
+        if (manifest_ && !spec.key.empty() && (r.ok || r.quarantined)) {
             JobRecord rec;
             rec.key = spec.key;
             rec.label = spec.label;
@@ -326,12 +311,6 @@ JobRunner::run(const std::vector<JobSpec> &specs)
             // RunManifest::append is internally synchronized.
             manifest_->append(rec);
         }
-
-        // Release only after the WAL append: a lease dropped first
-        // would open a window where another worker claims and runs the
-        // cell before this result becomes visible.
-        if (coordinated)
-            coordinator_->release(spec.key);
 
         results[index] = std::move(r);
         sinks_.jobDone(results[index]);
@@ -413,11 +392,9 @@ JobRunner::run(const std::vector<JobSpec> &specs)
             ++summary.deferredJobs;
             continue;
         }
-        if (results[i].lost)
-            ++summary.lostJobs;
         if (results[i].resumed)
             ++summary.resumedJobs;
-        if (!results[i].ok && !results[i].lost) {
+        if (!results[i].ok) {
             ++summary.failedJobs;
             if (results[i].quarantined)
                 ++summary.quarantinedJobs;
@@ -434,10 +411,9 @@ JobRunner::run(const std::vector<JobSpec> &specs)
     by_time.resize(std::min<std::size_t>(n, 5));
     summary.slowest = std::move(by_time);
 
-    // Under a coordinator one run() is one worker *round*; the worker
-    // driver finalizes once, after its last round, with the fleet
-    // status and the coordinator summary.
-    if (manifest_ && !coordinator_)
+    // A worker pass is one of several writers of the run directory;
+    // the merge run that follows the workers finalizes it.
+    if (manifest_ && !claimCells_)
         manifest_->finalize(interrupted ? "interrupted" : "complete");
 
     sinks_.runEnd(summary, results);

@@ -1,11 +1,16 @@
 #include "exec/run_manifest.hh"
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include "check/check.hh"
 #include "common/log.hh"
+#include "exec/determinism.hh"
 #include "exec/exit_codes.hh"
 #include "exec/result_sink.hh"
 
@@ -291,12 +296,6 @@ RunManifest::openOrCreate(const std::string &dir,
     {
         MutexLock lock(m->mutex_);
         m->loadRecords();
-        // Keep a fleet coordinator summary a previous worker wrote:
-        // later rewrites (a merge run, another worker's finalize)
-        // must not silently drop the fleet's protocol statistics.
-        const std::string coord = jsonFieldRaw(existing, "coordinator");
-        if (!coord.empty())
-            m->coordinatorJson_ = coord;
         m->writeManifestFile("running");
     }
     return m;
@@ -343,20 +342,36 @@ RunManifest::append(const JobRecord &record)
     records_[record.key] = record;
 }
 
-std::size_t
-RunManifest::refresh()
+std::string
+RunManifest::claimFileName(const std::string &key)
 {
-    MutexLock lock(mutex_);
-    const std::size_t before = records_.size();
-    loadRecords();
-    return records_.size() - before;
+    // Keys carry '|', '/', '+'-style separators; the name keeps a
+    // readable sanitized prefix and disambiguates with FNV-1a, which
+    // is stable across processes and hosts.
+    std::string safe;
+    for (const char c : key) {
+        if (safe.size() >= 40)
+            break;
+        safe += (std::isalnum(static_cast<unsigned char>(c)) ||
+                 c == '-' || c == '.')
+                    ? c
+                    : '_';
+    }
+    return csprintf("%s-%016llx", safe.c_str(),
+                    static_cast<unsigned long long>(fnv1a(key)));
 }
 
-void
-RunManifest::setCoordinatorSummary(std::string json_object)
+bool
+RunManifest::claim(const std::string &key) const
 {
-    MutexLock lock(mutex_);
-    coordinatorJson_ = std::move(json_object);
+    const std::string dir = dir_ + "/claims";
+    ensureDirectory(dir);
+    const int fd = ::open((dir + "/" + claimFileName(key)).c_str(),
+                          O_WRONLY | O_CREAT | O_EXCL, 0666);
+    if (fd < 0)
+        return false;
+    ::close(fd);
+    return true;
 }
 
 void
@@ -370,16 +385,12 @@ void
 RunManifest::writeManifestFile(const std::string &status)
 {
     AtomicFileWriter out(dir_ + "/manifest.json");
-    const std::string coordinator =
-        coordinatorJson_.empty()
-            ? std::string()
-            : csprintf(",\"coordinator\":%s", coordinatorJson_.c_str());
     out.stream() << csprintf(
         "{\"signature\":\"%s\",\"config\":\"%s\",\"status\":\"%s\","
-        "\"completed\":%zu%s}\n",
+        "\"completed\":%zu}\n",
         jsonEscape(buildSignature()).c_str(),
         jsonEscape(config_).c_str(), jsonEscape(status).c_str(),
-        records_.size(), coordinator.c_str());
+        records_.size());
     out.commit();
 }
 

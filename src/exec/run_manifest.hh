@@ -7,6 +7,7 @@
  *     <dir>/manifest.json   identity + status (atomic rewrite)
  *     <dir>/jobs.jsonl      one record per finished job (WAL append)
  *     <dir>/crash/          crash records of failed jobs (.json)
+ *     <dir>/claims/         one empty file per cell a worker claimed
  *
  * The manifest pins the run's identity: a configuration description
  * (tool, grid, cycle budgets, platform, seed) plus the build
@@ -23,6 +24,14 @@
  * *not* recorded and therefore re-run on resume. Metrics round-trip
  * through "%.17g", so a resumed batch reproduces a clean run's CSV
  * byte for byte.
+ *
+ * Fleet workers (`dcl1sweep --worker`) share one directory: each cell
+ * is run only by the process that wins its write-once claim file.
+ * Claims are never renewed, released or reclaimed. A worker that dies
+ * mid-cell leaves a claim with no WAL record, and the plain resume run
+ * that merges the fleet simulates that cell like any other missing
+ * one. No timeout is needed because results are deterministic: a
+ * duplicate record would be byte-identical.
  */
 
 #ifndef DCL1_EXEC_RUN_MANIFEST_HH
@@ -125,32 +134,16 @@ class RunManifest
     void append(const JobRecord &record) DCL1_EXCLUDES(mutex_);
 
     /**
-     * Re-read the WAL, absorbing records other worker processes
-     * appended since open (O_APPEND writes land whole, so concurrent
-     * appenders never tear a line). Fleet workers call this between
-     * claim rounds; a key this process already holds is only ever
-     * re-read with identical content (results are deterministic), so
-     * find() pointers stay valid. Returns the records newly absorbed.
+     * Claim the cell @p key for this process: create
+     * `claims/<claimFileName(key)>` with O_CREAT|O_EXCL, which exactly
+     * one caller across all processes can win. False = claimed
+     * already (or the create failed): leave the cell to its claimant
+     * or to the merge run.
      */
-    std::size_t refresh() DCL1_EXCLUDES(mutex_);
+    bool claim(const std::string &key) const;
 
-    /**
-     * Attach the fleet coordinator summary — a complete JSON object
-     * (e.g. {"claims":12,...}) — embedded as the "coordinator" field
-     * of every later manifest rewrite. Empty = no field (the
-     * single-process layout is unchanged).
-     */
-    void setCoordinatorSummary(std::string json_object)
-        DCL1_EXCLUDES(mutex_);
-
-    /** Current coordinator summary (set here, or loaded from the
-     *  manifest a previous worker finalized); "" = none. */
-    std::string
-    coordinatorSummary() const DCL1_EXCLUDES(mutex_)
-    {
-        MutexLock lock(mutex_);
-        return coordinatorJson_;
-    }
+    /** Claim file name for @p key: sanitized prefix + stable hash. */
+    static std::string claimFileName(const std::string &key);
 
     /** Rewrite the manifest with a final status ("complete",
      *  "interrupted"); atomic, so a crash keeps the old manifest. */
@@ -179,7 +172,6 @@ class RunManifest
     mutable Mutex mutex_;
     AppendLog wal_; ///< internally locked; ordered after mutex_
     std::map<std::string, JobRecord> records_ DCL1_GUARDED_BY(mutex_);
-    std::string coordinatorJson_ DCL1_GUARDED_BY(mutex_);
 };
 
 } // namespace dcl1::exec

@@ -1,20 +1,20 @@
 /**
  * @file
- * Tests for the fleet-coordination layer: file-based cell leases
- * (claim / renew / reclaim), the heartbeat renewal thread, the
- * JobRunner's CellCoordinator integration (deferred and lost cells),
- * cross-process manifest refresh, the coordinator summary, and the
- * DCL1_CHAOS fault-injection spec parser.
+ * Tests for multi-process fleet runs: write-once cell claims
+ * (RunManifest::claim), the JobRunner's claim mode (deferred cells, no
+ * finalize), and crash recovery by the plain resume run that merges
+ * the fleet.
  *
  * Suite names matter: CI's TSan and -Wthread-safety lanes select
- * `Lease|Heartbeat|Fleet` by regex.
+ * `Fleet` by regex.
  */
 
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <atomic>
+#include <cstdlib>
 #include <fstream>
-#include <set>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,11 +24,7 @@
 
 #include "common/log.hh"
 #include "exec/atomic_file.hh"
-#include "exec/chaos.hh"
-#include "exec/exit_codes.hh"
-#include "exec/heartbeat.hh"
 #include "exec/job_runner.hh"
-#include "exec/lease.hh"
 #include "exec/result_sink.hh"
 #include "exec/run_manifest.hh"
 
@@ -37,14 +33,6 @@ namespace
 
 using namespace dcl1;
 using namespace dcl1::exec;
-
-// Host-paced sleeps/polls below are test scheduling, never simulated
-// time (tests are outside the no-wallclock lint's scope).
-void
-sleepMs(int ms)
-{
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
 
 /** Unlink every regular file in @p dir (one level; no recursion). */
 void
@@ -62,7 +50,7 @@ clearDirectory(const std::string &dir)
 }
 
 /**
- * Per-test scratch run directory, wiped of manifest, WAL and leases a
+ * Per-test scratch run directory, wiped of manifest, WAL and claims a
  * previous (possibly killed) test run left behind.
  */
 std::string
@@ -73,21 +61,17 @@ freshRunDir(const std::string &name)
                             name;
     ensureDirectory(dir);
     std::remove((dir + "/manifest.json").c_str());
-    std::remove(csprintf("%s/manifest.json.tmp.%d", dir.c_str(),
-                         int(getpid()))
-                    .c_str());
     std::remove((dir + "/jobs.jsonl").c_str());
-    clearDirectory(dir + "/leases");
+    clearDirectory(dir + "/claims");
     return dir;
 }
 
-/** A worker identity that is guaranteed dead: no such pid exists. */
-WorkerIdentity
-deadIdentity(const std::string &id)
+std::string
+manifestText(const std::string &dir)
 {
-    WorkerIdentity who = WorkerIdentity::local(id);
-    who.pid = 999999999; // beyond pid_max on any Linux config
-    return who;
+    std::ifstream in(dir + "/manifest.json");
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
 }
 
 ExecOptions
@@ -143,461 +127,178 @@ class SummarySink : public ResultSink
     }
 };
 
-// ---------------------------------------------------------------- Lease
-
-TEST(Lease, ClaimIsExclusiveUntilReleased)
+/**
+ * Dies the way SIGKILL would — no unwinding, no manifest finalize —
+ * when the @p n-th job starts, i.e. right after its claim was won.
+ */
+class ExitAtJobStartSink : public ResultSink
 {
-    const std::string dir = freshRunDir("claim");
-    LeaseDir a(dir, WorkerIdentity::local("wa"), 60000);
-    LeaseDir b(dir, WorkerIdentity::local("wb"), 60000);
-    const std::string key = "design=A|app=x|seed=0";
+  public:
+    explicit ExitAtJobStartSink(std::size_t n) : n_(n) {}
 
-    EXPECT_TRUE(a.tryClaim(key));
-    EXPECT_TRUE(a.owned(key));
-    EXPECT_FALSE(b.tryClaim(key)); // O_EXCL lost: exactly one winner
-    EXPECT_FALSE(b.owned(key));
-
-    a.release(key);
-    EXPECT_FALSE(a.owned(key));
-    EXPECT_TRUE(b.tryClaim(key)); // claimable again after release
-    b.release(key);
-
-    EXPECT_EQ(a.counters().claims, 1u);
-    EXPECT_EQ(a.counters().released, 1u);
-    EXPECT_EQ(b.counters().claims, 1u);
-
-    // Empty keys are never leased (unkeyed jobs bypass coordination).
-    EXPECT_FALSE(a.tryClaim(""));
-}
-
-TEST(Lease, FileNameIsSanitizedAndCollisionResistant)
-{
-    const std::string ugly = "design=Sh40+C10|app=T-AlexNet/x|seed=1";
-    const std::string name = LeaseDir::leaseFileName(ugly);
-    EXPECT_EQ(name.find('|'), std::string::npos);
-    EXPECT_EQ(name.find('/'), std::string::npos);
-    EXPECT_EQ(name.find('+'), std::string::npos);
-    EXPECT_EQ(name.find('='), std::string::npos);
-    EXPECT_EQ(name.substr(name.size() - 6), ".lease");
-
-    // Same sanitized prefix, different keys: the hash disambiguates.
-    const std::string other = "design=Sh40-C10|app=T-AlexNet|x|seed=1";
-    EXPECT_NE(name, LeaseDir::leaseFileName(other));
-    // Stable across calls (cross-process file rendezvous).
-    EXPECT_EQ(name, LeaseDir::leaseFileName(ugly));
-}
-
-TEST(Lease, RenewBumpsSequenceAndRefreshesLease)
-{
-    const std::string dir = freshRunDir("renew");
-    LeaseDir a(dir, WorkerIdentity::local("wa"), 60000);
-    const std::string key = "cell-renew";
-    ASSERT_TRUE(a.tryClaim(key));
-    EXPECT_TRUE(a.renew(key));
-    EXPECT_TRUE(a.renew(key));
-
-    std::size_t torn = 999;
-    const auto leases = a.scan(&torn);
-    ASSERT_EQ(leases.size(), 1u);
-    EXPECT_EQ(torn, 0u);
-    EXPECT_EQ(leases[0].key, key);
-    EXPECT_EQ(leases[0].workerId, "wa");
-    EXPECT_EQ(leases[0].seq, 3u); // claim=1, two renewals
-    EXPECT_TRUE(leases[0].ownerAlive);
-    EXPECT_EQ(a.counters().renewals, 2u);
-}
-
-TEST(Lease, RenewAfterReclamationReportsLossAndBlocksPublish)
-{
-    const std::string dir = freshRunDir("lost");
-    LeaseDir a(dir, WorkerIdentity::local("wa"), 60000);
-    const std::string key = "cell-lost";
-    ASSERT_TRUE(a.tryClaim(key));
-
-    // Simulate a reclaimer: the lease file vanishes under the owner.
-    ::unlink((dir + "/leases/" + LeaseDir::leaseFileName(key)).c_str());
-
-    EXPECT_FALSE(a.renew(key));            // ownership is gone
-    EXPECT_FALSE(a.verifyForPublish(key)); // result must be dropped
-    EXPECT_GE(a.counters().lost, 2u);      // both paths counted it
-    a.release(key);                        // no-op, not owned
-    EXPECT_EQ(a.counters().released, 0u);
-}
-
-TEST(Lease, TornFilesAreToleratedAndAgeOutAsDebris)
-{
-    const std::string dir = freshRunDir("torn");
-    LeaseDir a(dir, WorkerIdentity::local("wa"), 5);
-    // A worker killed between open and write leaves a truncated claim.
+    void
+    onJobStart(std::size_t, const std::string &, unsigned) override
     {
-        std::ofstream out(dir + "/leases/half-written.lease");
-        out << "{\"key\":\"cel"; // no newline, no closing quote
+        if (++started_ == n_)
+            std::_Exit(137);
     }
 
-    std::size_t torn = 0;
-    auto leases = a.scan(&torn);
-    ASSERT_EQ(leases.size(), 1u); // the scan never throws or skips
-    EXPECT_EQ(torn, 1u);
-    EXPECT_TRUE(leases[0].torn);
-    EXPECT_TRUE(leases[0].key.empty());
+  private:
+    std::size_t n_;
+    std::size_t started_ = 0;
+};
 
-    // Fresh torn files may still be mid-write; old ones are debris
-    // reclaimed by the same TTL rule as real leases.
-    sleepMs(20);
-    leases = a.scan(&torn);
-    ASSERT_EQ(leases.size(), 1u);
-    EXPECT_TRUE(a.stale(leases[0]));
-    EXPECT_TRUE(a.reclaim(leases[0]));
-    EXPECT_EQ(a.tombstoneCount(), 1u);
-    EXPECT_TRUE(a.scan(&torn).empty());
-}
-
-TEST(Lease, StaleRequiresTtlExpiryAndNeverOwnLease)
+/** One `--jobs=1` worker pass over @p specs, watched by @p sink. */
+std::vector<JobResult>
+workerPass(RunManifest &manifest, const std::vector<JobSpec> &specs,
+           ResultSink *sink = nullptr)
 {
-    const std::string dir = freshRunDir("stale");
-    LeaseDir mine(dir, WorkerIdentity::local("wa"), 30);
-    LeaseDir dead(dir, deadIdentity("dead"), 30);
-
-    ASSERT_TRUE(mine.tryClaim("cell-own"));
-    ASSERT_TRUE(dead.tryClaim("cell-dead"));
-
-    for (const auto &info : mine.scan()) {
-        // Nothing is stale before the TTL, dead owner or not.
-        EXPECT_FALSE(mine.stale(info)) << info.key;
-    }
-    EXPECT_EQ(mine.orphanCount(), 1u); // dead pid is visible debris
-
-    sleepMs(60);
-    std::size_t reclaimed = 0;
-    for (const auto &info : mine.scan()) {
-        if (info.workerId == "wa") {
-            // Our own held lease is never stale to us, however old:
-            // the heartbeat may merely be slow, and self-reclamation
-            // would guarantee the publish-time loss it exists to stop.
-            EXPECT_FALSE(mine.stale(info));
-            continue;
-        }
-        EXPECT_TRUE(mine.stale(info));
-        reclaimed += mine.reclaim(info) ? 1 : 0;
-    }
-    EXPECT_EQ(reclaimed, 1u);
-    EXPECT_EQ(mine.counters().reclamations, 1u);
-    mine.release("cell-own");
+    JobRunner worker(quietOpts(1));
+    worker.attachManifest(&manifest, /*claim_cells=*/true);
+    worker.addSink(sink);
+    return worker.run(specs);
 }
 
-TEST(Lease, ConcurrentReclamationHasExactlyOneWinner)
+/** The plain resume run that merges a fleet: claims nothing. */
+std::vector<JobResult>
+mergePass(RunManifest &manifest, const std::vector<JobSpec> &specs)
+{
+    JobRunner merge(quietOpts(1));
+    merge.attachManifest(&manifest);
+    return merge.run(specs);
+}
+
+TEST(Fleet, ClaimRaceHasExactlyOneWinner)
 {
     const std::string dir = freshRunDir("race");
-    LeaseDir dead(dir, deadIdentity("dead"), 1);
-    ASSERT_TRUE(dead.tryClaim("cell-contested"));
-    sleepMs(15); // age the lease past its 1 ms TTL
+    const std::string key = "design=A|app=x|seed=0";
 
-    // N workers spot the same stale lease and race to reclaim it;
-    // rename(2) must pick exactly one winner.
+    // N workers, each with its own view of the run directory, race
+    // for one cell; O_CREAT|O_EXCL must pick exactly one winner.
     constexpr int kWorkers = 8;
-    std::vector<std::unique_ptr<LeaseDir>> dirs;
+    std::vector<std::unique_ptr<RunManifest>> views;
     for (int i = 0; i < kWorkers; ++i)
-        dirs.push_back(std::make_unique<LeaseDir>(
-            dir, WorkerIdentity::local(csprintf("w%d", i)), 1));
-    const auto leases = dirs[0]->scan();
-    ASSERT_EQ(leases.size(), 1u);
-    ASSERT_TRUE(dirs[0]->stale(leases[0]));
-
+        views.push_back(RunManifest::openOrCreate(dir, "fleet-race"));
+    std::atomic<bool> go{false};
     std::atomic<int> wins{0};
     std::vector<std::thread> threads;
     for (int i = 0; i < kWorkers; ++i) {
         threads.emplace_back([&, i] {
-            if (dirs[i]->reclaim(leases[0]))
+            while (!go.load())
+                std::this_thread::yield();
+            if (views[i]->claim(key))
                 wins.fetch_add(1);
         });
     }
+    go.store(true);
     for (auto &t : threads)
         t.join();
-
     EXPECT_EQ(wins.load(), 1);
-    EXPECT_EQ(dirs[0]->tombstoneCount(), 1u);
-    EXPECT_TRUE(dirs[0]->scan().empty());
-    // The cell is claimable again — the crash-recovery retry path.
-    EXPECT_TRUE(dirs[0]->tryClaim("cell-contested"));
+
+    // A claim is never released: every later claimant loses too.
+    for (const auto &view : views)
+        EXPECT_FALSE(view->claim(key));
 }
 
-// ------------------------------------------------------------ Heartbeat
-
-TEST(Heartbeat, RenewsTrackedLeases)
+TEST(Fleet, ClaimFileNameIsSanitizedAndCollisionResistant)
 {
-    const std::string dir = freshRunDir("beat");
-    LeaseDir a(dir, WorkerIdentity::local("wa"), 60000);
-    const std::string key = "cell-beating";
-    ASSERT_TRUE(a.tryClaim(key));
+    const std::string ugly = "design=Sh40+C10|app=T-AlexNet/x|seed=1";
+    const std::string name = RunManifest::claimFileName(ugly);
+    EXPECT_EQ(name.find('|'), std::string::npos);
+    EXPECT_EQ(name.find('/'), std::string::npos);
+    EXPECT_EQ(name.find('+'), std::string::npos);
+    EXPECT_EQ(name.find('='), std::string::npos);
 
-    HeartbeatThread hb(a, 5);
-    hb.track(key);
-    hb.start();
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(10);
-    while (hb.beats() < 3 &&
-           std::chrono::steady_clock::now() < deadline)
-        sleepMs(5);
-    hb.stop();
-    hb.stop(); // idempotent
-
-    EXPECT_GE(hb.beats(), 3u);
-    EXPECT_GE(a.counters().renewals, 3u);
-    const auto leases = a.scan();
-    ASSERT_EQ(leases.size(), 1u);
-    EXPECT_GE(leases[0].seq, 4u); // claim=1 plus >= 3 renewals
-    EXPECT_FALSE(hb.lost(key));
-    a.release(key);
+    // Same sanitized prefix, different keys: the hash disambiguates.
+    const std::string other = "design=Sh40-C10|app=T-AlexNet|x|seed=1";
+    EXPECT_NE(name, RunManifest::claimFileName(other));
+    // Stable across calls (cross-process file rendezvous).
+    EXPECT_EQ(name, RunManifest::claimFileName(ugly));
 }
-
-TEST(Heartbeat, DetectsReclaimedLeaseAsLost)
-{
-    const std::string dir = freshRunDir("beat-lost");
-    LeaseDir a(dir, WorkerIdentity::local("wa"), 60000);
-    const std::string key = "cell-reclaimed-under-us";
-    ASSERT_TRUE(a.tryClaim(key));
-
-    HeartbeatThread hb(a, 5);
-    hb.track(key);
-    hb.start();
-    // A reclaimer takes the lease while the owner is mid-simulation.
-    ::unlink((dir + "/leases/" + LeaseDir::leaseFileName(key)).c_str());
-
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(10);
-    while (!hb.lost(key) &&
-           std::chrono::steady_clock::now() < deadline)
-        sleepMs(5);
-    hb.stop();
-
-    EXPECT_TRUE(hb.lost(key)); // the failed renewal flagged the loss
-    EXPECT_GE(a.counters().lost, 1u);
-}
-
-// ---------------------------------------------------------------- Fleet
 
 TEST(Fleet, DeferredWhenAnotherWorkerHoldsTheCell)
 {
     const std::string dir = freshRunDir("defer");
     std::vector<JobSpec> specs = {synthSpec(0), synthSpec(1)};
 
-    // Another live worker already owns cell 0.
-    LeaseDir other(dir, WorkerIdentity::local("other"), 60000);
-    ASSERT_TRUE(other.tryClaim(specs[0].key));
+    // Another worker already claimed cell 0.
+    auto other = RunManifest::openOrCreate(dir, "fleet-defer");
+    ASSERT_TRUE(other->claim(specs[0].key));
 
     auto manifest = RunManifest::openOrCreate(dir, "fleet-defer");
-    LeaseDir mine(dir, WorkerIdentity::local("me"), 60000);
-    LeaseCoordinator coordinator(mine, nullptr);
-    JobRunner runner(quietOpts(1));
-    runner.attachManifest(manifest.get());
-    runner.attachCoordinator(&coordinator);
     SummarySink summary;
-    runner.addSink(&summary);
-    const auto results = runner.run(specs);
+    const auto results = workerPass(*manifest, specs, &summary);
 
-    EXPECT_TRUE(results[0].deferred); // busy elsewhere, not failed
+    EXPECT_TRUE(results[0].deferred); // claimed elsewhere, not failed
     EXPECT_FALSE(results[0].ok);
     EXPECT_EQ(results[0].attempts, 0u);
     EXPECT_TRUE(results[1].ok);
     EXPECT_EQ(summary.last.deferredJobs, 1u);
     EXPECT_EQ(summary.last.failedJobs, 0u);
     EXPECT_EQ(manifest->completedCount(), 1u);
+    // A worker pass leaves finalization to the merge.
+    EXPECT_NE(manifestText(dir).find("\"status\":\"running\""),
+              std::string::npos);
 
-    // The holder finishes and releases; the next round picks it up.
-    other.release(specs[0].key);
-    const auto retry = runner.run(specs);
-    EXPECT_TRUE(retry[0].ok);
-    EXPECT_TRUE(retry[1].resumed);
+    // The claim is never released, so a second pass defers it again;
+    const auto again = workerPass(*manifest, specs);
+    EXPECT_TRUE(again[0].deferred);
+    EXPECT_TRUE(again[1].resumed);
+
+    // the merge, which claims nothing, simulates it.
+    const auto merged = mergePass(*manifest, specs);
+    EXPECT_TRUE(merged[0].ok);
+    EXPECT_FALSE(merged[0].resumed);
+    EXPECT_TRUE(merged[1].resumed);
     EXPECT_EQ(manifest->completedCount(), 2u);
+    EXPECT_NE(manifestText(dir).find("\"status\":\"complete\""),
+              std::string::npos);
 }
 
-TEST(Fleet, ZombieResultIsDroppedUnpublished)
+TEST(FleetDeathTest, HardKilledWorkerIsRecoveredByTheMerge)
 {
-    const std::string dir = freshRunDir("zombie");
-    // The cell simulates the zombie scenario from inside: while it
-    // "runs", its lease is reclaimed out from under it.
-    JobSpec spec = synthSpec(0);
-    const std::string lease_file =
-        dir + "/leases/" + LeaseDir::leaseFileName(spec.key);
-    const auto inner = spec.fn;
-    spec.fn = [inner, lease_file](JobContext &ctx) {
-        ::unlink(lease_file.c_str());
-        return inner(ctx);
-    };
-
-    auto manifest = RunManifest::openOrCreate(dir, "fleet-zombie");
-    LeaseDir mine(dir, WorkerIdentity::local("me"), 60000);
-    LeaseCoordinator coordinator(mine, nullptr);
-    JobRunner runner(quietOpts(1));
-    runner.attachManifest(manifest.get());
-    runner.attachCoordinator(&coordinator);
-    SummarySink summary;
-    runner.addSink(&summary);
-    const auto results = runner.run({spec});
-
-    // Executed fine — but the pre-publish ownership check failed, so
-    // nothing may land in the WAL (the reclaimer's re-run owns it).
-    EXPECT_TRUE(results[0].lost);
-    EXPECT_EQ(summary.last.lostJobs, 1u);
-    EXPECT_EQ(summary.last.failedJobs, 0u);
-    EXPECT_EQ(manifest->completedCount(), 0u);
-    EXPECT_GE(mine.counters().lost, 1u);
-
-    std::ifstream wal(dir + "/jobs.jsonl");
-    std::string line;
-    while (std::getline(wal, line))
-        EXPECT_EQ(line.find(spec.key), std::string::npos) << line;
-}
-
-TEST(Fleet, AbandonedClaimsAreReclaimedAndResumeByteIdentically)
-{
-    // In-process analog of the kill-3-of-4 fleet scenario: a worker
-    // dies holding claims on two cells; a survivor reclaims them and
-    // the merged output must match an undisturbed run byte for byte.
     std::vector<JobSpec> specs;
     for (std::size_t i = 0; i < 4; ++i)
         specs.push_back(synthSpec(i));
 
-    // Reference: the same batch, no fleet machinery.
-    const std::string ref_dir = freshRunDir("ref");
+    // Reference: the same batch, uninterrupted, no fleet.
     std::string ref_csv;
     {
-        auto manifest = RunManifest::openOrCreate(ref_dir, "fleet-id");
-        JobRunner runner(quietOpts(1));
-        runner.attachManifest(manifest.get());
-        ref_csv = csvOf(runner.run(specs));
+        auto manifest =
+            RunManifest::openOrCreate(freshRunDir("ref"), "fleet-kill");
+        ref_csv = csvOf(mergePass(*manifest, specs));
     }
 
-    const std::string dir = freshRunDir("crashed");
-    LeaseDir dead(dir, deadIdentity("dead"), 40);
-    ASSERT_TRUE(dead.tryClaim(specs[1].key));
-    ASSERT_TRUE(dead.tryClaim(specs[2].key));
-
-    auto manifest = RunManifest::openOrCreate(dir, "fleet-id");
-    LeaseDir mine(dir, WorkerIdentity::local("survivor"), 40);
-    LeaseCoordinator coordinator(mine, nullptr);
-    JobRunner runner(quietOpts(1));
-    runner.attachManifest(manifest.get());
-    runner.attachCoordinator(&coordinator);
-
-    // Round 1: the dead worker's cells defer; the rest complete.
-    const auto round1 = runner.run(specs);
-    EXPECT_TRUE(round1[0].ok);
-    EXPECT_TRUE(round1[1].deferred);
-    EXPECT_TRUE(round1[2].deferred);
-    EXPECT_TRUE(round1[3].ok);
-    EXPECT_EQ(manifest->completedCount(), 2u);
-
-    // The dcl1sweep worker round loop: age out, reclaim, go again.
-    sleepMs(80);
-    std::size_t reclaimed = 0;
-    for (const auto &info : mine.scan())
-        if (mine.stale(info) && mine.reclaim(info))
-            ++reclaimed;
-    EXPECT_EQ(reclaimed, 2u);
-    EXPECT_EQ(mine.tombstoneCount(), 2u);
-
-    // Round 2: reclaimed cells run fresh, finished ones resume.
-    manifest->refresh();
-    const auto round2 = runner.run(specs);
-    EXPECT_TRUE(round2[0].resumed);
-    EXPECT_FALSE(round2[1].resumed);
-    EXPECT_TRUE(round2[1].ok);
-    EXPECT_FALSE(round2[2].resumed);
-    EXPECT_TRUE(round2[2].ok);
-    EXPECT_TRUE(round2[3].resumed);
-    EXPECT_EQ(manifest->completedCount(), 4u);
-
-    EXPECT_EQ(csvOf(round2), ref_csv);
-    EXPECT_EQ(mine.counters().reclamations, 2u);
-    EXPECT_EQ(mine.counters().lost, 0u);
-}
-
-TEST(Fleet, ManifestRefreshAbsorbsForeignAppends)
-{
-    const std::string dir = freshRunDir("refresh");
-    auto mine = RunManifest::openOrCreate(dir, "fleet-refresh");
-    auto theirs = RunManifest::openOrCreate(dir, "fleet-refresh");
-
-    JobRecord rec;
-    rec.key = "design=B|app=y|seed=2";
-    rec.label = "B/y";
-    rec.ok = true;
-    rec.metrics.ipc = 0.5;
-    theirs->append(rec);
-
-    // Invisible to this process until the between-rounds refresh.
-    EXPECT_EQ(mine->find(rec.key), nullptr);
-    EXPECT_EQ(mine->refresh(), 1u);
-    ASSERT_NE(mine->find(rec.key), nullptr);
-    EXPECT_EQ(mine->find(rec.key)->label, "B/y");
-    EXPECT_EQ(mine->refresh(), 0u); // idempotent when nothing new
-}
-
-TEST(Fleet, CoordinatorSummarySurvivesReopen)
-{
-    const std::string dir = freshRunDir("summary");
-    const std::string summary =
-        "{\"workers\":2,\"claims\":5,\"reclamations\":3}";
-    {
-        auto manifest = RunManifest::openOrCreate(dir, "fleet-sum");
-        EXPECT_EQ(manifest->coordinatorSummary(), "");
-        manifest->setCoordinatorSummary(summary);
-        manifest->finalize("complete");
-    }
-    // The next worker (or a human with an editor) sees the record.
-    std::ifstream in(dir + "/manifest.json");
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    EXPECT_NE(text.find("\"coordinator\":" + summary),
+    // A worker dies as its second cell starts: that cell is claimed,
+    // with no WAL record, and the manifest is never finalized.
+    const std::string dir = freshRunDir("kill");
+    ExitAtJobStartSink kill(2);
+    EXPECT_EXIT(
+        workerPass(*RunManifest::openOrCreate(dir, "fleet-kill"), specs,
+                   &kill),
+        ::testing::ExitedWithCode(137), "");
+    EXPECT_NE(manifestText(dir).find("\"status\":\"running\""),
               std::string::npos);
 
-    auto reopened = RunManifest::openOrCreate(dir, "fleet-sum");
-    EXPECT_EQ(reopened->coordinatorSummary(), summary);
-}
+    auto manifest = RunManifest::openOrCreate(dir, "fleet-kill");
+    EXPECT_EQ(manifest->completedCount(), 1u);
 
-TEST(Fleet, ChaosSpecParses)
-{
-    const ChaosConfig off = ChaosConfig::parse("");
-    EXPECT_FALSE(off.any());
-    EXPECT_EQ(off.killAfterCells, 0u);
+    // A second worker pass defers exactly the dead worker's cell.
+    const auto pass = workerPass(*manifest, specs);
+    EXPECT_TRUE(pass[0].resumed);
+    EXPECT_TRUE(pass[1].deferred);
+    for (std::size_t i : {2u, 3u}) {
+        EXPECT_TRUE(pass[i].ok) << i;
+        EXPECT_EQ(pass[i].attempts, 1u) << i;
+    }
 
-    const ChaosConfig cfg = ChaosConfig::parse(
-        "kill-after=2,kill-at-cycle=5000,drop-heartbeat");
-    EXPECT_TRUE(cfg.any());
-    EXPECT_EQ(cfg.killAfterCells, 2u);
-    EXPECT_EQ(cfg.killAtCycle, 5000u);
-    EXPECT_TRUE(cfg.dropHeartbeat);
-
-    // Tokens compose in any order; stray commas are harmless.
-    const ChaosConfig hb = ChaosConfig::parse(",drop-heartbeat,");
-    EXPECT_TRUE(hb.dropHeartbeat);
-    EXPECT_EQ(hb.killAfterCells, 0u);
-}
-
-// ------------------------------------------------------- FleetDeathTest
-
-TEST(FleetDeathTest, ChaosSpecRejectsUnknownTokens)
-{
-    EXPECT_EXIT(ChaosConfig::parse("explode=1"),
-                ::testing::ExitedWithCode(1), "unknown token");
-    EXPECT_EXIT(ChaosConfig::parse("kill-after"),
-                ::testing::ExitedWithCode(1), "needs a value");
-    EXPECT_EXIT(ChaosConfig::parse("drop-heartbeat=1"),
-                ::testing::ExitedWithCode(1), "takes no value");
-    EXPECT_EXIT(ChaosConfig::parse("kill-after=nope"),
-                ::testing::ExitedWithCode(1), "kill-after");
-}
-
-TEST(FleetDeathTest, LeaseDirRejectsBrokenConfiguration)
-{
-    const std::string dir = freshRunDir("bad-config");
-    EXPECT_EXIT(LeaseDir(dir, WorkerIdentity::local("w"), 0),
-                ::testing::ExitedWithCode(1), "TTL must be positive");
-    EXPECT_EXIT(LeaseDir(dir, WorkerIdentity::local(""), 1000),
-                ::testing::ExitedWithCode(1), "empty worker id");
-    EXPECT_EXIT(LeaseDir("", WorkerIdentity::local("w"), 1000),
-                ::testing::ExitedWithCode(1), "empty run-directory");
+    // The merge simulates exactly that cell; the CSV matches the
+    // uninterrupted reference byte for byte.
+    const auto merged = mergePass(*manifest, specs);
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        EXPECT_EQ(merged[i].resumed, i != 1) << i;
+    EXPECT_EQ(merged[1].attempts, 1u);
+    EXPECT_EQ(csvOf(merged), ref_csv);
 }
 
 } // namespace

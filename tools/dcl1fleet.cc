@@ -5,24 +5,16 @@
  *   dcl1fleet --workers=4 --run-dir=runs/main --out=results.csv \
  *             --designs=Baseline,Pr40 --apps=T-AlexNet,C-BFS
  *
- * Spawns K local `dcl1sweep --worker` processes that cooperate on one
- * durable run directory through per-cell lease files (exec/lease.hh),
- * waits for all of them, then always runs one *recovery* worker — if
- * every first-wave worker crashed, the recovery worker reclaims their
- * stale leases and finishes the grid alone — and finally merges with
- * a plain `dcl1sweep --resume --out` run, which re-simulates nothing
- * and emits the CSV in grid order. Because every cell is a pure
- * function of its configuration and metrics round-trip exactly, the
- * merged CSV is byte-identical to a single-process `--jobs=1` run;
- * --verify re-computes that reference and compares, byte for byte.
- *
- * Crash testing: --chaos-kill=W:N[:C] arms deterministic fault
- * injection in worker W only (die mid-simulation of its N-th cell at
- * cycle C), and --chaos-drop-heartbeat=W turns worker W into a
- * zombie that keeps simulating but stops renewing its leases. A
- * worker death with status 137 (the chaos/SIGKILL status) is an
- * expected outcome; the fleet completes through the survivors and
- * the recovery pass.
+ * Spawns K local `dcl1sweep --worker` processes that split one
+ * durable run directory's cells through write-once claim files
+ * (RunManifest::claim), waits for all of them, then merges with a
+ * plain `dcl1sweep --resume --out` run. The merge is also the crash
+ * recovery: it simulates every cell without a WAL record, including
+ * any cell a killed worker claimed but never finished, and emits the
+ * CSV in grid order. Because every cell is a pure function of its
+ * configuration and metrics round-trip exactly, the merged CSV is
+ * byte-identical to a single-process `--jobs=1` run; --verify
+ * re-computes that reference and compares, byte for byte.
  *
  * Grid flags the launcher does not recognize (--designs, --apps,
  * --budget, --jobs, ...) are forwarded verbatim to every dcl1sweep it
@@ -35,7 +27,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -44,7 +35,6 @@
 
 #include "common/env.hh"
 #include "common/log.hh"
-#include "exec/chaos.hh"
 #include "exec/exit_codes.hh"
 
 using namespace dcl1;
@@ -52,20 +42,13 @@ using namespace dcl1;
 namespace
 {
 
-/** One armed fault, parsed from --chaos-kill=W:N[:C]. */
-struct ChaosKill
-{
-    std::size_t worker = 0;
-    long after = 0;
-    long atCycle = -1; // -1 = leave the sweep default
-};
-
 void
 printHelp()
 {
     std::printf(
         "dcl1fleet — spawn K dcl1sweep --worker processes on one "
-        "run directory,\nrecover crashed workers, merge, verify\n"
+        "run directory,\nmerge (re-running crashed workers' cells), "
+        "verify\n"
         "\n"
         "  --workers=K        worker processes (default 4)\n"
         "  --run-dir=DIR      shared durable run directory (required)\n"
@@ -73,17 +56,9 @@ printHelp()
         "                     --resume run after all workers exit)\n"
         "  --sweep-bin=PATH   dcl1sweep binary (default: next to\n"
         "                     dcl1fleet)\n"
-        "  --lease-ttl-ms=N   worker lease TTL (default 30000; lower\n"
-        "                     it when testing crash recovery)\n"
-        "  --heartbeat-ms=N   worker lease renewal interval\n"
-        "  --worker-idle-ms=N worker poll interval\n"
         "  --verify           also run a fresh single-process --jobs=1\n"
         "                     sweep and require the merged CSV to be\n"
         "                     byte-identical\n"
-        "  --chaos-kill=W:N[:C]     kill worker W during its N-th cell\n"
-        "                           (at simulated cycle C)\n"
-        "  --chaos-drop-heartbeat=W worker W stops renewing leases\n"
-        "                           (zombie) but keeps running\n"
         "\n"
         "Unrecognized --flags are forwarded to every spawned dcl1sweep\n"
         "(use them for --designs/--apps/--jobs/--budget/...).\n"
@@ -158,16 +133,7 @@ main(int argc, char **argv)
     std::string run_dir = envStrOr("DCL1_RUN_DIR", "");
     std::string out_path;
     std::string sweep_bin;
-    std::int64_t lease_ttl_ms = envIntOr(
-        "DCL1_LEASE_TTL_MS", 30000, 1,
-        std::numeric_limits<std::int64_t>::max() / 2);
-    std::int64_t heartbeat_ms =
-        envIntOr("DCL1_HEARTBEAT_MS", 0, 0, 86400000);
-    std::int64_t idle_ms =
-        envIntOr("DCL1_WORKER_IDLE_MS", 0, 0, 86400000);
     bool verify = false;
-    std::vector<ChaosKill> kills;
-    std::vector<std::size_t> heartbeat_drops;
     std::vector<std::string> forwarded;
 
     for (int i = 1; i < argc; ++i) {
@@ -181,47 +147,8 @@ main(int argc, char **argv)
             out_path = a.substr(6);
         else if (a.rfind("--sweep-bin=", 0) == 0)
             sweep_bin = a.substr(12);
-        else if (a.rfind("--lease-ttl-ms=", 0) == 0)
-            lease_ttl_ms = parseEnvInt(
-                "--lease-ttl-ms", a.substr(15).c_str(), 1,
-                std::numeric_limits<std::int64_t>::max() / 2);
-        else if (a.rfind("--heartbeat-ms=", 0) == 0)
-            heartbeat_ms = parseEnvInt(
-                "--heartbeat-ms", a.substr(15).c_str(), 1, 86400000);
-        else if (a.rfind("--worker-idle-ms=", 0) == 0)
-            idle_ms = parseEnvInt(
-                "--worker-idle-ms", a.substr(17).c_str(), 1, 86400000);
         else if (a == "--verify")
             verify = true;
-        else if (a.rfind("--chaos-kill=", 0) == 0) {
-            // W:N[:C] — strict, like every other numeric option.
-            const std::string spec = a.substr(13);
-            const std::size_t c1 = spec.find(':');
-            if (c1 == std::string::npos)
-                fatal("--chaos-kill=%s: expected WORKER:AFTER[:CYCLE]",
-                      spec.c_str());
-            const std::size_t c2 = spec.find(':', c1 + 1);
-            ChaosKill kill;
-            kill.worker = static_cast<std::size_t>(parseEnvInt(
-                "--chaos-kill worker", spec.substr(0, c1).c_str(), 0,
-                1023));
-            const std::string after =
-                c2 == std::string::npos
-                    ? spec.substr(c1 + 1)
-                    : spec.substr(c1 + 1, c2 - c1 - 1);
-            kill.after = parseEnvInt("--chaos-kill after",
-                                     after.c_str(), 1,
-                                     std::int64_t(1) << 40);
-            if (c2 != std::string::npos)
-                kill.atCycle = parseEnvInt(
-                    "--chaos-kill cycle", spec.substr(c2 + 1).c_str(),
-                    0, std::int64_t(1) << 60);
-            kills.push_back(kill);
-        } else if (a.rfind("--chaos-drop-heartbeat=", 0) == 0)
-            heartbeat_drops.push_back(
-                static_cast<std::size_t>(parseEnvInt(
-                    "--chaos-drop-heartbeat", a.substr(23).c_str(), 0,
-                    1023)));
         else if (a == "--help" || a == "-h") {
             printHelp();
             return exec::kExitOk;
@@ -244,51 +171,16 @@ main(int argc, char **argv)
                         ? "dcl1sweep"
                         : self.substr(0, slash + 1) + "dcl1sweep";
     }
-    for (const ChaosKill &kill : kills)
-        if (kill.worker >= workers)
-            fatal("--chaos-kill names worker %zu but only %zu were "
-                  "requested",
-                  kill.worker, workers);
-    for (const std::size_t w : heartbeat_drops)
-        if (w >= workers)
-            fatal("--chaos-drop-heartbeat names worker %zu but only "
-                  "%zu were requested",
-                  w, workers);
 
-    // First wave: K workers sharing the run directory.
-    auto workerArgs = [&](const std::string &id) {
-        std::vector<std::string> args = {
-            sweep_bin, "--worker", "--worker-id=" + id,
-            "--run-dir=" + run_dir,
-            csprintf("--lease-ttl-ms=%lld",
-                     static_cast<long long>(lease_ttl_ms))};
-        if (heartbeat_ms > 0)
-            args.push_back(csprintf(
-                "--heartbeat-ms=%lld",
-                static_cast<long long>(heartbeat_ms)));
-        if (idle_ms > 0)
-            args.push_back(csprintf("--worker-idle-ms=%lld",
-                                    static_cast<long long>(idle_ms)));
-        args.insert(args.end(), forwarded.begin(), forwarded.end());
-        return args;
-    };
+    // Workers: K one-pass claimants sharing the run directory.
+    std::vector<std::string> worker_args = {sweep_bin, "--worker",
+                                            "--run-dir=" + run_dir};
+    worker_args.insert(worker_args.end(), forwarded.begin(),
+                       forwarded.end());
 
     std::vector<pid_t> pids;
     for (std::size_t w = 0; w < workers; ++w) {
-        std::vector<std::string> args = workerArgs(csprintf("w%zu", w));
-        for (const ChaosKill &kill : kills) {
-            if (kill.worker != w)
-                continue;
-            args.push_back(
-                csprintf("--chaos-kill-after=%ld", kill.after));
-            if (kill.atCycle >= 0)
-                args.push_back(csprintf("--chaos-kill-at-cycle=%ld",
-                                        kill.atCycle));
-        }
-        for (const std::size_t drop : heartbeat_drops)
-            if (drop == w)
-                args.push_back("--chaos-drop-heartbeat");
-        pids.push_back(spawn(args));
+        pids.push_back(spawn(worker_args));
         std::fprintf(stderr, "[fleet] worker w%zu: pid %ld\n", w,
                      static_cast<long>(pids.back()));
     }
@@ -298,9 +190,9 @@ main(int argc, char **argv)
         const int status = await(pids[w]);
         std::fprintf(stderr, "[fleet] worker w%zu exited %d%s\n", w,
                      status,
-                     status == exec::kChaosKillStatus
-                         ? " (killed; its leases will be reclaimed)"
-                         : "");
+                     status >= 128 ? " (killed; the merge re-runs its "
+                                     "unfinished cells)"
+                                   : "");
         if (status == exec::kExitIncompatibleRunDir)
             // Every worker is running the same binary against the
             // same directory: they are all doomed the same way.
@@ -315,26 +207,15 @@ main(int argc, char **argv)
             ++failed;
     }
 
-    // Recovery pass: even if *every* worker crashed, one clean worker
-    // reclaims their stale leases (after the TTL) and finishes the
-    // grid. Harmless when nothing crashed — it sees a complete WAL
-    // and exits after one round.
+    // Merge: a plain resume run writes the CSV in grid order and
+    // simulates every cell without a record, which covers the cells a
+    // killed worker claimed but never finished.
     std::fprintf(stderr,
-                 "[fleet] recovery worker (%zu crashed, %zu "
-                 "interrupted, %zu failed)\n",
+                 "[fleet] merge (%zu worker(s) killed, %zu interrupted, "
+                 "%zu with failed cells)\n",
                  died, resumable, failed);
-    const int recover_status = run(workerArgs("recover"));
-    if (recover_status != exec::kExitOk &&
-        recover_status != exec::kExitFailedCells &&
-        recover_status != exec::kExitQuarantined)
-        fatal("dcl1fleet: recovery worker exited %d; run directory "
-              "'%s' is left for inspection/--resume",
-              recover_status, run_dir.c_str());
-
-    // Merge: a plain resume run re-simulates nothing (every cell has
-    // a WAL record) and writes the CSV in grid order.
     std::vector<std::string> merge = {sweep_bin, "--resume=" + run_dir,
-                                      "--out=" + out_path, "--jobs=1"};
+                                      "--out=" + out_path};
     merge.insert(merge.end(), forwarded.begin(), forwarded.end());
     const int merge_status = run(merge);
     if (merge_status != exec::kExitOk) {
@@ -368,8 +249,7 @@ main(int argc, char **argv)
                      "to the single-process reference\n");
     }
 
-    std::fprintf(stderr, "[fleet] done: %zu worker(s) + recovery, "
-                 "merged CSV at %s\n",
+    std::fprintf(stderr, "[fleet] done: %zu worker(s), merged CSV at %s\n",
                  workers, out_path.c_str());
     return exec::kExitOk;
 }

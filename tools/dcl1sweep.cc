@@ -41,42 +41,30 @@
  *
  * --worker turns the process into a *fleet worker*: any number of
  * workers (local or remote, sharing the directory over a common
- * filesystem) cooperate on one run directory via per-cell lease files
- * (exec/lease.hh). A worker claims cells nobody else holds, renews
- * its claims from a heartbeat thread, reclaims leases of crashed
- * workers after --lease-ttl-ms, and loops until every cell has a
- * record. Workers write no CSV — run a final non-worker
- * `--resume=DIR --out=FILE` (or use tools/dcl1fleet) to merge. The
- * --chaos-* flags (or DCL1_CHAOS) arm deterministic fault injection
- * for testing the recovery path.
+ * filesystem) split one run directory's cells through write-once
+ * claim files (RunManifest::claim). A worker makes one pass over the
+ * grid, runs each cell it claims first, and exits. Workers write no
+ * CSV and do not finalize the manifest — a final non-worker
+ * `--resume=DIR --out=FILE` run (or tools/dcl1fleet) merges, and in
+ * doing so simulates any cell a dead worker claimed but never
+ * recorded.
  */
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <memory>
-#include <set>
 #include <sstream>
-#include <thread>
 #include <vector>
-
-#include <unistd.h>
 
 #include "common/env.hh"
 #include "common/log.hh"
 #include "core/experiment.hh"
-#include "exec/chaos.hh"
 #include "exec/exit_codes.hh"
-#include "exec/heartbeat.hh"
 #include "exec/interrupt.hh"
 #include "exec/job_runner.hh"
 #include "exec/job_set.hh"
-#include "exec/lease.hh"
 #include "exec/run_manifest.hh"
 #include "workload/app_catalog.hh"
 
@@ -173,26 +161,11 @@ printHelp()
         "  --interrupt-after=N  testing: inject SIGINT after N cells\n"
         "\n"
         "fleet mode (multi-process; see tools/dcl1fleet):\n"
-        "  --worker           cooperate on --run-dir with other worker\n"
-        "                     processes via per-cell lease files; write\n"
-        "                     no CSV (merge with a final --resume run)\n"
-        "  --worker-id=ID     stable worker name (default w<pid>)\n"
-        "  --lease-ttl-ms=N   reclaim leases not renewed for N ms\n"
-        "                     (DCL1_LEASE_TTL_MS; default 30000)\n"
-        "  --heartbeat-ms=N   lease renewal interval (DCL1_HEARTBEAT_MS;"
-        "\n"
-        "                     default TTL/10)\n"
-        "  --worker-idle-ms=N poll interval while other workers hold\n"
-        "                     the remaining cells (DCL1_WORKER_IDLE_MS;\n"
-        "                     default 200)\n"
-        "\n"
-        "fault injection (testing; also DCL1_CHAOS=kill-after=N,...):\n"
-        "  --chaos-kill-after=N     _Exit(137) mid-simulation of the\n"
-        "                           N-th freshly executed cell\n"
-        "  --chaos-kill-at-cycle=N  simulated cycle of the kill\n"
-        "                           (default 2048)\n"
-        "  --chaos-drop-heartbeat   stop renewing leases but keep\n"
-        "                           running (zombie worker)\n"
+        "  --worker           one pass over --run-dir shared with other\n"
+        "                     worker processes: run each cell this\n"
+        "                     process claims first; write no CSV (merge\n"
+        "                     with a final --resume run, which also runs\n"
+        "                     cells a dead worker claimed)\n"
         "\n"
         "%s\n",
         exec::kExitCodeContract);
@@ -214,15 +187,6 @@ main(int argc, char **argv)
     std::string timeline_dir;
     Cycle timeline_interval = 0;
     bool worker_mode = false;
-    std::string worker_id;
-    std::int64_t lease_ttl_ms = envIntOr(
-        "DCL1_LEASE_TTL_MS", 30000, 1,
-        std::numeric_limits<std::int64_t>::max() / 2);
-    std::int64_t heartbeat_ms =
-        envIntOr("DCL1_HEARTBEAT_MS", 0, 0, 86400000);
-    std::int64_t idle_ms =
-        envIntOr("DCL1_WORKER_IDLE_MS", 200, 1, 86400000);
-    exec::ChaosConfig chaos = exec::ChaosConfig::fromEnv();
     exec::ExecOptions eopts = exec::ExecOptions::fromEnv();
     run_dir = envStrOr("DCL1_RUN_DIR", run_dir);
 
@@ -236,7 +200,7 @@ main(int argc, char **argv)
             out_path = a.substr(6);
         else if (a.rfind("--jobs=", 0) == 0)
             eopts.jobs = static_cast<unsigned>(parseEnvInt(
-                "--jobs", a.substr(7).c_str(), 1, 4096));
+                "--jobs", a.substr(7).c_str(), 0, 4096));
         else if (a.rfind("--budget=", 0) == 0)
             eopts.cycleBudget = static_cast<Cycle>(parseEnvInt(
                 "--budget", a.substr(9).c_str(), 1,
@@ -270,34 +234,16 @@ main(int argc, char **argv)
             eopts.profile = true;
         else if (a == "--worker")
             worker_mode = true;
-        else if (a.rfind("--worker-id=", 0) == 0)
-            worker_id = a.substr(12);
-        else if (a.rfind("--lease-ttl-ms=", 0) == 0)
-            lease_ttl_ms = parseEnvInt(
-                "--lease-ttl-ms", a.substr(15).c_str(), 1,
-                std::numeric_limits<std::int64_t>::max() / 2);
-        else if (a.rfind("--heartbeat-ms=", 0) == 0)
-            heartbeat_ms = parseEnvInt(
-                "--heartbeat-ms", a.substr(15).c_str(), 1, 86400000);
-        else if (a.rfind("--worker-idle-ms=", 0) == 0)
-            idle_ms = parseEnvInt(
-                "--worker-idle-ms", a.substr(17).c_str(), 1, 86400000);
-        else if (a.rfind("--chaos-kill-after=", 0) == 0)
-            chaos.killAfterCells = static_cast<std::size_t>(parseEnvInt(
-                "--chaos-kill-after", a.substr(19).c_str(), 1,
-                std::int64_t(1) << 40));
-        else if (a.rfind("--chaos-kill-at-cycle=", 0) == 0)
-            chaos.killAtCycle = static_cast<Cycle>(parseEnvInt(
-                "--chaos-kill-at-cycle", a.substr(22).c_str(), 0,
-                std::int64_t(1) << 60));
-        else if (a == "--chaos-drop-heartbeat")
-            chaos.dropHeartbeat = true;
         else if (a == "--help" || a == "-h") {
             printHelp();
             return exec::kExitOk;
         } else
             fatal("unknown option '%s' (--help lists them)", a.c_str());
     }
+    if (worker_mode && run_dir.empty())
+        fatal("--worker requires --run-dir=DIR (or --resume=DIR): "
+              "fleet workers share cells through a durable run "
+              "directory");
     if (app_names.empty())
         for (const auto &app : workload::appCatalog())
             app_names.push_back(app.params.name);
@@ -361,11 +307,10 @@ main(int argc, char **argv)
     }
 
     exec::installSignalHandlers();
-    exec::setChaosConfig(chaos);
 
     exec::JobRunner runner(eopts);
     if (manifest)
-        runner.attachManifest(manifest.get());
+        runner.attachManifest(manifest.get(), /*claim_cells=*/worker_mode);
     exec::ProgressSink progress;
     if (eopts.progress)
         runner.addSink(&progress);
@@ -378,152 +323,6 @@ main(int argc, char **argv)
     if (interrupt_after > 0) {
         injector = std::make_unique<InterruptAfterSink>(interrupt_after);
         runner.addSink(injector.get());
-    }
-
-    if (worker_mode) {
-        if (!manifest)
-            fatal("--worker requires --run-dir=DIR (or --resume=DIR): "
-                  "fleet workers coordinate through a shared durable "
-                  "run directory");
-        if (worker_id.empty())
-            worker_id = csprintf("w%ld", static_cast<long>(::getpid()));
-        const std::int64_t hb_ms =
-            heartbeat_ms > 0
-                ? heartbeat_ms
-                : std::max<std::int64_t>(1, lease_ttl_ms / 10);
-        exec::LeaseDir leases(
-            run_dir, exec::WorkerIdentity::local(worker_id),
-            lease_ttl_ms);
-        exec::HeartbeatThread heartbeat(leases, hb_ms);
-        heartbeat.start();
-        exec::LeaseCoordinator coordinator(leases, &heartbeat);
-        runner.attachCoordinator(&coordinator);
-
-        // Round loop: claim + run whatever is free, absorb records
-        // other workers published, reclaim leases of dead workers,
-        // and go idle while the remaining cells are owned elsewhere.
-        std::set<std::string> failed_keys; // retries exhausted here
-        std::size_t rounds = 0;
-        bool interrupted = false;
-        for (;;) {
-            ++rounds;
-            const std::vector<exec::JobResult> results =
-                runner.run(set.specs());
-            std::size_t fresh = 0;
-            for (const exec::JobResult &r : results) {
-                if (r.skipped || r.deferred || r.resumed ||
-                    r.attempts == 0)
-                    continue;
-                ++fresh;
-                if (!r.ok && !r.lost && !r.quarantined)
-                    failed_keys.insert(r.key);
-            }
-            if (exec::interruptRequested()) {
-                interrupted = true;
-                break;
-            }
-            const std::size_t absorbed = manifest->refresh();
-            std::size_t reclaimed = 0;
-            for (const exec::LeaseInfo &info : leases.scan())
-                if (leases.stale(info) && leases.reclaim(info))
-                    ++reclaimed;
-            if (reclaimed > 0)
-                std::fprintf(stderr,
-                             "[sweep] worker %s: reclaimed %zu stale "
-                             "lease(s) (worker died or stalled past "
-                             "%lld ms)\n",
-                             worker_id.c_str(), reclaimed,
-                             static_cast<long long>(lease_ttl_ms));
-            // Cells still without a terminal record, less the ones
-            // that exhausted their retries in this very process —
-            // another worker may still pick those up, but we will not
-            // spin on them alone.
-            std::size_t remaining = 0;
-            for (const exec::JobSpec &spec : set.specs()) {
-                if (spec.key.empty())
-                    continue;
-                const exec::JobRecord *rec = manifest->find(spec.key);
-                if (rec && (rec->ok || rec->quarantined))
-                    continue;
-                if (failed_keys.count(spec.key))
-                    continue;
-                ++remaining;
-            }
-            if (remaining == 0)
-                break;
-            if (fresh == 0 && absorbed == 0 && reclaimed == 0)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(idle_ms));
-        }
-        heartbeat.stop();
-
-        // Fleet-cumulative coordinator summary: merge this worker's
-        // counters into the latest summary on disk (re-read here —
-        // the copy loaded at open predates sibling workers' finalizes).
-        // claims/renewals/released/lost/rounds stay approximate when
-        // two workers finalize in the same instant (last writer wins);
-        // reclamations (tombstone files), orphans and torn are
-        // re-scanned from disk artifacts and exact however the fleet
-        // died — a chaos-killed reclaimer's work is still counted.
-        const exec::LeaseCounters c = leases.counters();
-        std::string prior;
-        {
-            std::ifstream in(run_dir + "/manifest.json");
-            std::string text((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-            prior = exec::jsonFieldRaw(text, "coordinator");
-        }
-        auto prev = [&prior](const char *field) -> unsigned long long {
-            const std::string raw = exec::jsonFieldRaw(prior, field);
-            return raw.empty()
-                       ? 0
-                       : std::strtoull(raw.c_str(), nullptr, 10);
-        };
-        std::size_t torn = 0;
-        leases.scan(&torn);
-        manifest->setCoordinatorSummary(csprintf(
-            "{\"workers\":%llu,\"claims\":%llu,\"renewals\":%llu,"
-            "\"released\":%llu,\"reclamations\":%zu,\"lost\":%llu,"
-            "\"orphans\":%zu,\"torn\":%zu,\"rounds\":%llu}",
-            prev("workers") + 1,
-            prev("claims") + static_cast<unsigned long long>(c.claims),
-            prev("renewals") +
-                static_cast<unsigned long long>(c.renewals),
-            prev("released") +
-                static_cast<unsigned long long>(c.released),
-            leases.tombstoneCount(),
-            prev("lost") + static_cast<unsigned long long>(c.lost),
-            leases.orphanCount(), torn,
-            prev("rounds") + static_cast<unsigned long long>(rounds)));
-        manifest->finalize(interrupted ? "interrupted" : "complete");
-
-        if (interrupted) {
-            std::fprintf(stderr,
-                         "[sweep] worker %s interrupted; resume with "
-                         "--resume=%s\n",
-                         worker_id.c_str(), run_dir.c_str());
-            return exec::kExitResumable;
-        }
-        // Workers publish to the WAL only; the CSV comes from a final
-        // non-worker --resume run (or dcl1fleet's merge step).
-        std::size_t quarantined_cells = 0;
-        for (const exec::JobSpec &spec : set.specs()) {
-            const exec::JobRecord *rec =
-                spec.key.empty() ? nullptr : manifest->find(spec.key);
-            if (rec && rec->quarantined)
-                ++quarantined_cells;
-        }
-        std::fprintf(stderr,
-                     "[sweep] worker %s done after %zu round(s): %zu "
-                     "record(s) on file, %zu failed here, %zu "
-                     "quarantined\n",
-                     worker_id.c_str(), rounds,
-                     manifest->completedCount(), failed_keys.size(),
-                     quarantined_cells);
-        if (!failed_keys.empty())
-            return exec::kExitFailedCells;
-        return quarantined_cells > 0 ? exec::kExitQuarantined
-                                     : exec::kExitOk;
     }
 
     const std::vector<exec::JobResult> results = runner.run(set.specs());
@@ -545,6 +344,29 @@ main(int argc, char **argv)
                                     run_dir.c_str())
                                .c_str());
         return exec::kExitResumable;
+    }
+
+    if (worker_mode) {
+        // Workers publish to the WAL only; the merge run writes the
+        // CSV. The exit code answers for the cells this pass ran.
+        std::size_t ran = 0, deferred = 0, failed = 0, quarantined = 0;
+        for (const exec::JobResult &r : results) {
+            deferred += r.deferred ? 1 : 0;
+            if (r.deferred || r.resumed)
+                continue;
+            ++ran;
+            failed += r.ok ? 0 : 1;
+            quarantined += r.quarantined ? 1 : 0;
+        }
+        std::fprintf(stderr,
+                     "[sweep] worker pass done: %zu cell(s) run here, "
+                     "%zu claimed by other workers; merge with "
+                     "--resume=%s --out=FILE\n",
+                     ran, deferred, run_dir.c_str());
+        if (failed == 0)
+            return exec::kExitOk;
+        return failed == quarantined ? exec::kExitQuarantined
+                                     : exec::kExitFailedCells;
     }
 
     // Emit rows in grid order: output is independent of completion
