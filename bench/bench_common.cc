@@ -1,7 +1,6 @@
 #include "bench/bench_common.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -23,9 +22,6 @@ namespace dcl1::bench
 namespace
 {
 
-/** Bump when RunMetrics serialization or model semantics change. */
-constexpr int kCacheSchema = 3;
-
 std::vector<std::string>
 split(const std::string &s, char sep)
 {
@@ -42,30 +38,20 @@ split(const std::string &s, char sep)
 Harness::Harness(const std::string &title, const std::string &what)
     : opts_(core::ExperimentOptions::fromEnv())
 {
-    cacheFile_ = envStrOr("DCL1_CACHE", cacheFile_);
-    loadCache();
-
     std::printf("==== %s ====\n", title.c_str());
     std::printf("%s\n", what.c_str());
     std::printf("platform: %s\n", sys_.summary().c_str());
-    std::printf("cycles: %llu measured after %llu warmup%s\n\n",
+    std::printf("cycles: %llu measured after %llu warmup\n\n",
                 static_cast<unsigned long long>(opts_.measureCycles),
-                static_cast<unsigned long long>(opts_.warmupCycles),
-                cacheFile_.empty() ? "" : " (cached)");
-}
-
-Harness::~Harness()
-{
-    if (cacheDirty_)
-        saveCache();
+                static_cast<unsigned long long>(opts_.warmupCycles));
 }
 
 std::string
-Harness::cacheKey(const core::DesignConfig &design,
-                  const std::string &app) const
+Harness::resultKey(const core::DesignConfig &design,
+                   const std::string &app) const
 {
-    return csprintf("v%d|%s|%s|%llu|%llu|%llu", kCacheSchema,
-                    design.name.c_str(), app.c_str(),
+    return csprintf("%s|%s|%llu|%llu|%llu", design.name.c_str(),
+                    app.c_str(),
                     static_cast<unsigned long long>(opts_.measureCycles),
                     static_cast<unsigned long long>(opts_.warmupCycles),
                     static_cast<unsigned long long>(sys_.seed));
@@ -78,17 +64,17 @@ Harness::prefetch(const std::vector<core::DesignConfig> &designs,
 {
     exec::JobSet set;
     // DCL1_TIMELINE=<dir>: emit a per-cell cycle-interval timeline for
-    // every prefetched cell. Observability only — cached metrics and
-    // printed tables are byte-identical with or without it.
+    // every prefetched cell. Observability only — metrics and printed
+    // tables are byte-identical with or without it.
     if (const std::string dir = envStrOr("DCL1_TIMELINE", "");
         !dir.empty())
         set.setTimelineDir(dir);
-    // Job index -> harness cache key; memoization may map several
+    // Job index -> result key; memoization may map several
     // (design, app) pairs onto one job.
     std::vector<std::pair<std::size_t, std::string>> wanted;
     auto request = [&](const core::DesignConfig &design,
                        const workload::AppInfo &app) {
-        const std::string key = cacheKey(design, app.params.name);
+        const std::string key = resultKey(design, app.params.name);
         if (results_.count(key))
             return;
         wanted.emplace_back(
@@ -107,13 +93,10 @@ Harness::prefetch(const std::vector<core::DesignConfig> &designs,
 
     for (const auto &[index, key] : wanted) {
         const exec::JobResult &r = results[index];
-        if (!r.ok) {
-            warn("prefetch: %s failed (%s); the serial run will retry",
-                 r.label.c_str(), r.error.c_str());
-            continue;
-        }
-        if (results_.emplace(key, r.metrics).second)
-            cacheDirty_ = true;
+        if (!r.ok)
+            fatal("%s failed (%s): %s", r.label.c_str(),
+                  exec::failureKindName(r.kind), r.error.c_str());
+        results_.emplace(key, r.metrics);
     }
 }
 
@@ -147,16 +130,10 @@ const core::RunMetrics &
 Harness::run(const core::DesignConfig &design,
              const workload::AppInfo &app)
 {
-    const std::string key = cacheKey(design, app.params.name);
-    auto it = results_.find(key);
-    if (it != results_.end())
-        return it->second;
-
-    std::fprintf(stderr, "  [run] %-18s %s\n", design.name.c_str(),
-                 app.params.name.c_str());
-    core::RunMetrics rm = core::runOnce(sys_, design, app.params, opts_);
-    cacheDirty_ = true;
-    return results_.emplace(key, rm).first->second;
+    const std::string key = resultKey(design, app.params.name);
+    if (!results_.count(key))
+        prefetch({design}, {app}, /*with_baseline=*/false);
+    return results_.at(key);
 }
 
 double
@@ -190,68 +167,6 @@ Harness::apps(bool sensitive_only, bool insensitive_only)
         out.push_back(app);
     }
     return out;
-}
-
-void
-Harness::loadCache()
-{
-    if (cacheFile_.empty())
-        return;
-    std::ifstream in(cacheFile_);
-    std::string line;
-    while (std::getline(in, line)) {
-        const auto sep = line.find('\t');
-        if (sep == std::string::npos)
-            continue;
-        const std::string key = line.substr(0, sep);
-        const auto vals = split(line.substr(sep + 1), ' ');
-        if (vals.size() != 18)
-            continue;
-        core::RunMetrics rm;
-        int i = 0;
-        rm.cycles = std::strtoull(vals[i++].c_str(), nullptr, 10);
-        rm.instructions = std::strtoull(vals[i++].c_str(), nullptr, 10);
-        rm.ipc = std::strtod(vals[i++].c_str(), nullptr);
-        rm.l1Accesses = std::strtoull(vals[i++].c_str(), nullptr, 10);
-        rm.l1Misses = std::strtoull(vals[i++].c_str(), nullptr, 10);
-        rm.l1MissRate = std::strtod(vals[i++].c_str(), nullptr);
-        rm.replicationRatio = std::strtod(vals[i++].c_str(), nullptr);
-        rm.avgReplicas = std::strtod(vals[i++].c_str(), nullptr);
-        rm.maxL1PortUtil = std::strtod(vals[i++].c_str(), nullptr);
-        rm.maxCoreReplyLinkUtil = std::strtod(vals[i++].c_str(), nullptr);
-        rm.maxMemReplyLinkUtil = std::strtod(vals[i++].c_str(), nullptr);
-        rm.avgReadLatency = std::strtod(vals[i++].c_str(), nullptr);
-        rm.noc1Flits = std::strtoull(vals[i++].c_str(), nullptr, 10);
-        rm.noc2Flits = std::strtoull(vals[i++].c_str(), nullptr, 10);
-        rm.l2Accesses = std::strtoull(vals[i++].c_str(), nullptr, 10);
-        rm.l2Misses = std::strtoull(vals[i++].c_str(), nullptr, 10);
-        rm.dramReads = std::strtoull(vals[i++].c_str(), nullptr, 10);
-        rm.dramWrites = std::strtoull(vals[i++].c_str(), nullptr, 10);
-        results_.emplace(key, rm);
-    }
-}
-
-void
-Harness::saveCache() const
-{
-    if (cacheFile_.empty())
-        return;
-    // Atomic publish: a bench killed mid-save must not truncate the
-    // accumulated result cache (possibly hours of simulation).
-    exec::AtomicFileWriter writer(cacheFile_);
-    std::ostream &out = writer.stream();
-    for (const auto &[key, rm] : results_) {
-        out << key << '\t' << rm.cycles << ' ' << rm.instructions << ' '
-            << rm.ipc << ' ' << rm.l1Accesses << ' ' << rm.l1Misses
-            << ' ' << rm.l1MissRate << ' ' << rm.replicationRatio << ' '
-            << rm.avgReplicas << ' ' << rm.maxL1PortUtil << ' '
-            << rm.maxCoreReplyLinkUtil << ' ' << rm.maxMemReplyLinkUtil
-            << ' ' << rm.avgReadLatency << ' ' << rm.noc1Flits << ' '
-            << rm.noc2Flits << ' ' << rm.l2Accesses << ' '
-            << rm.l2Misses << ' ' << rm.dramReads << ' '
-            << rm.dramWrites << '\n';
-    }
-    writer.commit();
 }
 
 std::string

@@ -9,7 +9,9 @@
  *
  * Environment:
  *   DCL1_CYCLES / DCL1_WARMUP - simulation length per run
- *   DCL1_CACHE=<file>         - optional cross-binary result cache
+ *   DCL1_RUN_DIR=<dir>        - durable run directory shared by all
+ *                               bench binaries: a cell simulated once
+ *                               is read back, exactly, by the next
  *   DCL1_APPS=a,b,c           - restrict the app set (smoke runs)
  *   DCL1_JOBS=N               - parallel workers for prefetch()
  *                               (default: one per hardware thread)
@@ -33,7 +35,7 @@
 namespace dcl1::bench
 {
 
-/** Shared bench state: platform, cycle budget, result cache. */
+/** Shared bench state: platform, simulation length, results. */
 class Harness
 {
   public:
@@ -42,27 +44,25 @@ class Harness
      * @param what one-line description of what is reproduced
      */
     Harness(const std::string &title, const std::string &what);
-    ~Harness();
 
     /**
      * Simulate every missing (design, app) cell of the grid — plus
-     * each app's Baseline unless @p with_baseline is false — on the
-     * parallel execution engine (DCL1_JOBS workers), filling the
-     * result cache so the subsequent run()/speedup() calls that print
-     * the table are pure lookups. Printed output is identical to the
-     * serial harness: results are keyed, never ordered by completion.
-     * A cell that fails in the prefetch is left uncached; the serial
-     * run() that needs it will re-run it and surface the real error.
+     * each app's Baseline unless @p with_baseline is false — through
+     * runJobSet (DCL1_JOBS workers, DCL1_RUN_DIR), so the subsequent
+     * run()/speedup() calls that print the table are pure lookups.
+     * Printed output does not depend on the worker count: results are
+     * keyed, never ordered by completion. fatal()s with the job's
+     * error when a cell fails.
      */
     void prefetch(const std::vector<core::DesignConfig> &designs,
                   const std::vector<workload::AppInfo> &apps,
                   bool with_baseline = true);
 
-    /** Run (or fetch from cache) one simulation. */
+    /** Metrics of one simulation; a miss is prefetched alone. */
     const core::RunMetrics &run(const core::DesignConfig &design,
                                 const workload::AppInfo &app);
 
-    /** Baseline metrics for @p app (cached like any run). */
+    /** Baseline metrics for @p app. */
     const core::RunMetrics &
     baseline(const workload::AppInfo &app)
     {
@@ -81,24 +81,20 @@ class Harness
     const core::ExperimentOptions &opts() const { return opts_; }
 
   private:
-    std::string cacheKey(const core::DesignConfig &design,
-                         const std::string &app) const;
-    void loadCache();
-    void saveCache() const;
+    std::string resultKey(const core::DesignConfig &design,
+                          const std::string &app) const;
 
     core::SystemConfig sys_;
     core::ExperimentOptions opts_;
-    std::string cacheFile_;
     std::map<std::string, core::RunMetrics> results_;
-    bool cacheDirty_ = false;
 };
 
 /**
  * Run a prepared JobSet on the parallel engine (DCL1_JOBS workers,
- * optional DCL1_JOBS_LOG JSONL records) and return the per-job results
- * in job order. Benches whose grids fall outside the Harness cache
- * (custom platforms, modified SystemConfig fields) use this directly;
- * failed jobs are returned as-is with ok == false.
+ * optional DCL1_JOBS_LOG JSONL records, DCL1_RUN_DIR) and return the
+ * per-job results in job order. Benches whose grids fall outside the
+ * Harness (custom platforms, modified SystemConfig fields) use this
+ * directly; failed jobs are returned as-is with ok == false.
  */
 std::vector<exec::JobResult> runJobSet(const exec::JobSet &set);
 

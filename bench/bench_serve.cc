@@ -48,7 +48,6 @@ main()
     exec::ExecOptions eopts;
     eopts.jobs = static_cast<std::size_t>(
         envIntOr("DCL1_JOBS", 0, 0, 4096));
-    eopts.maxRetries = 0;
     exec::JobRunner runner(eopts);
     std::vector<exec::JobSpec> specs(3);
     for (std::size_t i = 0; i < 3; ++i) {

@@ -397,9 +397,9 @@ namespace
 
 /**
  * Arms the in-loop leak checks and guarantees they are disarmed even
- * when the loop is abandoned by an exception (cycle-budget watchdog,
- * trapped panic): teardown of a half-simulated machine legitimately
- * destroys in-flight requests.
+ * when the loop is abandoned by an exception (a trapped panic):
+ * teardown of a half-simulated machine legitimately destroys
+ * in-flight requests.
  */
 struct RunLoopGuard
 {
@@ -423,7 +423,7 @@ struct RunLoopGuard
 
 void
 GpuSystem::run(Cycle measure_cycles, Cycle warmup_cycles,
-               const CycleHeartbeat &heartbeat, const CycleHook &on_cycle)
+               const CycleHook &on_cycle)
 {
     RunLoopGuard guard;
     DCL1_PROF_SCOPE(Run);
@@ -438,8 +438,6 @@ GpuSystem::run(Cycle measure_cycles, Cycle warmup_cycles,
                 DCL1_PROF_SCOPE(Check);
                 checkInvariants("warmup");
             });
-            if (heartbeat)
-                heartbeat(cycle_);
         }
     }
     resetStats();
@@ -456,8 +454,6 @@ GpuSystem::run(Cycle measure_cycles, Cycle warmup_cycles,
                 DCL1_PROF_SCOPE(Check);
                 checkInvariants("measure");
             });
-            if (heartbeat)
-                heartbeat(cycle_);
         }
     }
 }

@@ -120,14 +120,6 @@ class GpuSystem
     GpuSystem &operator=(const GpuSystem &) = delete;
 
     /**
-     * Called every few-thousand cycles during run() with the current
-     * global cycle. Used by the execution engine's cycle-budget
-     * watchdog; may throw to abandon the run (run() restores its
-     * bookkeeping flags on the way out, so teardown stays legal).
-     */
-    using CycleHeartbeat = std::function<void(Cycle)>;
-
-    /**
      * Called after every measured cycle when set; return false to end
      * the run early. The serving layer drives job arrivals, scheduling
      * and completion detection from this hook while reusing run()'s
@@ -140,7 +132,6 @@ class GpuSystem
      * measured interval.
      */
     void run(Cycle measure_cycles, Cycle warmup_cycles = 0,
-             const CycleHeartbeat &heartbeat = {},
              const CycleHook &on_cycle = {});
 
     /** Advance a single core cycle (exposed for tests). */

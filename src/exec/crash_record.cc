@@ -1,10 +1,11 @@
 #include "exec/crash_record.hh"
 
 #include <cctype>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 
 #include "check/request_ledger.hh"
+#include "common/env.hh"
 #include "common/log.hh"
 #include "core/gpu_system.hh"
 #include "exec/atomic_file.hh"
@@ -121,18 +122,26 @@ loadCrashRecord(const std::string &path)
         fatal("crash record '%s' carries no replayable config "
               "(jobs must cooperate via JobContext::setCrashContext)",
               path.c_str());
-    auto u64 = [&](const char *field, std::uint64_t fallback) {
+    // Strict, with the ranges of the dcl1run flags they replay.
+    constexpr std::int64_t max = std::numeric_limits<std::int64_t>::max();
+    auto num = [&](const char *field, std::uint64_t fallback,
+                   std::int64_t min_value, std::int64_t max_value) {
         const std::string raw = jsonFieldRaw(text, field);
-        return raw.empty() ? fallback
-                           : std::strtoull(raw.c_str(), nullptr, 10);
+        if (raw.empty())
+            return fallback;
+        const std::string name =
+            csprintf("crash record '%s' field \"%s\"", path.c_str(), field);
+        return static_cast<std::uint64_t>(
+            parseEnvInt(name.c_str(), raw.c_str(), min_value, max_value));
     };
-    cfg.cores = static_cast<std::uint32_t>(u64("cores", cfg.cores));
-    cfg.slices = static_cast<std::uint32_t>(u64("slices", cfg.slices));
+    cfg.cores = static_cast<std::uint32_t>(num("cores", cfg.cores, 1, 4096));
+    cfg.slices =
+        static_cast<std::uint32_t>(num("slices", cfg.slices, 1, 4096));
     cfg.channels =
-        static_cast<std::uint32_t>(u64("channels", cfg.channels));
-    cfg.seed = u64("seed", cfg.seed);
-    cfg.measure = u64("measure", cfg.measure);
-    cfg.warmup = u64("warmup", cfg.warmup);
+        static_cast<std::uint32_t>(num("channels", cfg.channels, 1, 4096));
+    cfg.seed = num("seed", cfg.seed, 0, max);
+    cfg.measure = num("measure", cfg.measure, 1, max);
+    cfg.warmup = num("warmup", cfg.warmup, 0, max);
     jsonFieldString(text, "label", cfg.label);
     jsonFieldString(text, "error", cfg.error);
     return cfg;

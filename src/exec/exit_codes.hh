@@ -20,13 +20,13 @@ inline constexpr int kExitOk = 0;
  *  (the process-wide convention; not engine-specific). */
 inline constexpr int kExitConfigError = 1;
 
-/** dcl1run: the single requested simulation failed (panic, budget). */
+/** dcl1run: the single requested simulation failed (panic or
+ *  exception). */
 inline constexpr int kExitRunFailed = 2;
 
-/** Sweep completed, but at least one cell failed for a *retryable*
- *  reason (watchdog timeout with retries exhausted, worker
- *  exception). Rows are dropped; rerunning or resuming with a larger
- *  budget may recover the missing cells. */
+/** Sweep completed, but at least one cell failed with a worker
+ *  exception. Rows are dropped; such a cell leaves no WAL record, so
+ *  --resume=DIR runs it again. */
 inline constexpr int kExitFailedCells = 3;
 
 /** Sweep interrupted (SIGINT / --interrupt-after): in-flight jobs
@@ -37,8 +37,8 @@ inline constexpr int kExitResumable = 4;
 
 /** Sweep completed and every failed cell was *quarantined*: its
  *  failure is deterministic (panic or config error inside the model),
- *  so retrying — or resuming — will never recover it. Partial results
- *  were written; the quarantine report lists the poisoned cells. */
+ *  so resuming will never recover it. Partial results were written;
+ *  the quarantine report lists the poisoned cells. */
 inline constexpr int kExitQuarantined = 5;
 
 /** The named run directory exists but cannot be used by this
@@ -52,8 +52,9 @@ inline constexpr int kExitIncompatibleRunDir = 6;
 /** One-paragraph contract shared by both tools' --help output. */
 inline constexpr const char *kExitCodeContract =
     "exit codes: 0 ok; 1 bad configuration/options; 2 single run "
-    "failed (dcl1run); 3 sweep completed with retryable failed cells "
-    "(rows dropped); 4 sweep interrupted, resumable with --resume=DIR; "
+    "failed (dcl1run); 3 sweep completed with failed cells that "
+    "--resume=DIR re-runs (rows dropped); 4 sweep interrupted, "
+    "resumable with --resume=DIR; "
     "5 sweep completed with deterministically failing (quarantined) "
     "cells; 6 run directory written by an incompatible build/schema";
 

@@ -24,42 +24,27 @@
 
 #include <cstdint>
 #include <functional>
-#include <stdexcept>
 #include <string>
 
-#include "common/types.hh"
 #include "core/gpu_system.hh"
 #include "prof/prof.hh"
 
 namespace dcl1::exec
 {
 
-/** Thrown by JobContext::checkCycleBudget when a job overruns. */
-class CycleBudgetExceeded : public std::runtime_error
-{
-  public:
-    explicit CycleBudgetExceeded(const std::string &msg)
-        : std::runtime_error(msg)
-    {
-    }
-};
-
 /**
- * Why a job failed; drives the retry-with-quarantine policy.
+ * Why a job failed; decides whether the failure is recorded.
  *
- * Timeout (the cooperative cycle-budget watchdog fired) is the only
- * kind the policy considers possibly-spurious: the job is retried up
- * to ExecOptions::maxRetries times with an escalating budget.
- * WorkerException (any C++ exception the model did not classify, e.g.
- * bad_alloc under a loaded pool) is retried without escalation.
  * SimBug (panic) and ConfigError (fatal) are *deterministic* — the
  * simulator is a pure function of its configuration — so those jobs
- * are quarantined immediately and never burn a retry.
+ * are quarantined: the durable log records them and a resume does
+ * not run them again. WorkerException (any C++ exception the model
+ * did not classify, e.g. bad_alloc under a loaded pool) is not
+ * recorded, so the next --resume runs the job again.
  */
 enum class FailureKind : std::uint8_t
 {
     None,            ///< job succeeded
-    Timeout,         ///< cycle-budget watchdog fired (retryable)
     SimBug,          ///< panic(): internal invariant violated
     ConfigError,     ///< fatal(): impossible configuration
     WorkerException, ///< unclassified C++ exception on the worker
@@ -75,25 +60,6 @@ struct ExecOptions
     unsigned jobs = 0;
 
     /**
-     * Per-job simulated-cycle watchdog budget; 0 = unlimited. A grid
-     * job whose warmup+measure interval exceeds the budget is failed
-     * (mid-run, via the GpuSystem heartbeat) instead of hogging a
-     * worker forever.
-     */
-    Cycle cycleBudget = 0;
-
-    /**
-     * Retries after the first failed attempt for *retryable* failures
-     * (Timeout, WorkerException). Timeouts escalate: attempt k runs
-     * with cycleBudget * budgetEscalation^k. Quarantined failures
-     * (SimBug/ConfigError) never retry.
-     */
-    unsigned maxRetries = 2;
-
-    /** Budget multiplier per timeout retry (>= 1). */
-    double budgetEscalation = 2.0;
-
-    /**
      * When non-empty, every job that ends failed writes a structured
      * crash record to "<crashDir>/<job>.json" (config, last cycle,
      * queue depths, recent ledger events) — replayable with
@@ -101,9 +67,6 @@ struct ExecOptions
      * own "crash/" subdirectory when this is unset.
      */
     std::string crashDir;
-
-    /** Emit per-job progress lines to stderr. */
-    bool progress = true;
 
     /** When non-empty, append one JSON record per job to this file. */
     std::string jsonlPath;
@@ -120,11 +83,9 @@ struct ExecOptions
     static unsigned hardwareConcurrency();
 
     /**
-     * Environment defaults: DCL1_JOBS (worker count), DCL1_JOB_BUDGET
-     * (per-job cycle budget), DCL1_RETRIES (retry count),
-     * DCL1_CRASH_DIR (crash-record directory), DCL1_JOBS_LOG (JSONL
-     * path), DCL1_PROF (any value = host phase profiling on). All
-     * strictly parsed.
+     * Environment defaults: DCL1_JOBS (worker count), DCL1_CRASH_DIR
+     * (crash-record directory), DCL1_JOBS_LOG (JSONL path), DCL1_PROF
+     * (any value = host phase profiling on). All strictly parsed.
      */
     static ExecOptions fromEnv();
 };
@@ -133,8 +94,8 @@ struct ExecOptions
 class JobContext
 {
   public:
-    JobContext(std::size_t index, unsigned worker, Cycle cycle_budget)
-        : index_(index), worker_(worker), cycleBudget_(cycle_budget)
+    JobContext(std::size_t index, unsigned worker)
+        : index_(index), worker_(worker)
     {
     }
 
@@ -143,17 +104,6 @@ class JobContext
 
     /** Worker thread (0-based) executing the job. */
     unsigned worker() const { return worker_; }
-
-    /** Configured per-job cycle budget (0 = unlimited). */
-    Cycle cycleBudget() const { return cycleBudget_; }
-
-    /**
-     * Cooperative watchdog check: throw CycleBudgetExceeded when
-     * @p simulated_cycles exceeds the configured budget. Grid jobs
-     * call this from the GpuSystem run-loop heartbeat; custom jobs
-     * with their own tick loops should call it periodically too.
-     */
-    void checkCycleBudget(Cycle simulated_cycles) const;
 
     /**
      * Attach crash-diagnostic context: a JSON *fragment* (one or more
@@ -185,7 +135,6 @@ class JobContext
   private:
     std::size_t index_;
     unsigned worker_;
-    Cycle cycleBudget_;
     std::string crashContext_;
     std::string timelinePath_;
 };
@@ -218,8 +167,8 @@ struct JobResult
     bool ok = false;
     std::string error;        ///< captured panic/fatal/exception text
     FailureKind kind = FailureKind::None; ///< failure classification
-    unsigned attempts = 0;    ///< executed attempts (0 = never ran)
-    bool quarantined = false; ///< deterministic failure; never retried
+    unsigned attempts = 0;    ///< 1 once run (0 = never; resumed: as logged)
+    bool quarantined = false; ///< deterministic failure; never re-run
     bool resumed = false;     ///< satisfied from a run manifest record
     bool skipped = false;     ///< batch interrupted before it started
     bool deferred = false;    ///< cell claimed by another worker process
@@ -227,9 +176,8 @@ struct JobResult
     double wallMs = 0.0;      ///< host wall time of this job
     unsigned worker = 0;      ///< worker thread that executed it
     std::string timelinePath; ///< per-job timeline JSONL ("" = none)
-    /** Host phase profile of the final attempt (enabled == false
-     *  unless ExecOptions::profile was set). wallNs covers the whole
-     *  job bracket, retries included. */
+    /** Host phase profile of the job (enabled == false unless
+     *  ExecOptions::profile was set). */
     prof::Report prof;
 };
 

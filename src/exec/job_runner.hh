@@ -1,35 +1,30 @@
 /**
  * @file
- * Work-stealing thread pool executing independent simulation jobs.
+ * Thread pool executing independent simulation jobs, each exactly once.
  *
  * Threading model
  * ---------------
  * run() resolves a worker count W (min(opts.jobs, #jobs); opts.jobs=0
- * means one worker per hardware thread). W==1 executes every job
- * inline on the calling thread — no threads are spawned, which keeps
- * `--jobs=1` byte-for-byte equivalent to the historical serial tools.
- * For W>1, jobs are dealt round-robin onto per-worker deques; a worker
- * pops from the front of its own deque and steals from the back of its
- * neighbours' when it runs dry. Jobs are coarse (whole simulations),
- * so simple mutex-guarded deques are plenty.
+ * means one worker per hardware thread). The jobs left to run form
+ * one queue in index order; each worker takes the next job from a
+ * shared atomic cursor until the queue is empty. Worker 0 is the
+ * calling thread, so W==1 spawns no thread and runs the jobs in index
+ * order — `--jobs=1` stays byte-for-byte equivalent to the historical
+ * serial tools. Jobs are coarse (whole simulations), so one cursor is
+ * all the balancing they need.
  *
  * Fault isolation
  * ---------------
- * Each job runs under a SimErrorTrap: panic()/fatal() raised inside
- * the simulated machine (and any C++ exception) are captured into the
- * job's JobResult::error instead of terminating the process; the
- * remaining jobs keep running. The cycle-budget watchdog
- * (ExecOptions::cycleBudget) fails runaway jobs the same way.
- *
- * Retry with quarantine
- * ---------------------
- * A failed attempt is classified (FailureKind) before the engine
- * decides what to do with it. Watchdog timeouts retry up to
- * ExecOptions::maxRetries times with an escalating cycle budget;
- * unclassified worker exceptions retry at the same budget; panic() and
- * fatal() are deterministic — re-running an identical pure function
- * cannot help — so those jobs are quarantined on the first attempt.
- * Whatever the outcome, the batch completes with partial results.
+ * Each job runs once under a SimErrorTrap: panic()/fatal() raised
+ * inside the simulated machine (and any C++ exception) are captured
+ * into the job's JobResult::error instead of terminating the process;
+ * the remaining jobs keep running. The failure is classified
+ * (FailureKind): panic() and fatal() are deterministic — re-running an
+ * identical pure function cannot help — so those jobs are quarantined.
+ * Any other exception leaves a failed job with no durable record, and
+ * a later --resume runs it again. The engine never re-runs a job
+ * itself; whatever the outcome, the batch completes with partial
+ * results.
  *
  * Durable runs
  * ------------
@@ -37,6 +32,7 @@
  * jobs whose key already carries an ok/quarantined record are satisfied
  * from the log without simulating (JobResult::resumed), and every newly
  * finished ok/quarantined job is appended before the batch moves on.
+ * This is the only retry: a resume runs every job without a record.
  * SIGINT (see exec/interrupt.hh) drains in-flight jobs, marks the rest
  * skipped, and finalizes the manifest as "interrupted" so the same
  * command line can resume later.

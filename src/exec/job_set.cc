@@ -46,11 +46,6 @@ runCell(const GridCell &cell, JobContext &ctx)
         static_cast<unsigned long long>(cell.opts.warmupCycles));
     ctx.setCrashContext(config);
 
-    // Fail a mis-budgeted cell before paying for construction.
-    if (ctx.cycleBudget() != 0)
-        ctx.checkCycleBudget(cell.opts.warmupCycles +
-                             cell.opts.measureCycles);
-
     core::GpuSystem gpu(cell.sys, cell.design, cell.app);
 
     // Per-cell timeline: rows land line-atomically, so even the
@@ -68,12 +63,8 @@ runCell(const GridCell &cell, JobContext &ctx)
         ctx.setTimelinePath(cell.timelinePath);
     }
 
-    core::GpuSystem::CycleHeartbeat heartbeat;
-    if (ctx.cycleBudget() != 0)
-        heartbeat = [&ctx](Cycle now) { ctx.checkCycleBudget(now); };
     try {
-        gpu.run(cell.opts.measureCycles, cell.opts.warmupCycles,
-                heartbeat);
+        gpu.run(cell.opts.measureCycles, cell.opts.warmupCycles);
         gpu.finishTelemetry();
         // Full audit at the end of the measured interval, exactly like
         // core::runOnce; run() itself audits on a power-of-two cadence.

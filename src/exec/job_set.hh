@@ -43,8 +43,8 @@ struct GridCell
 };
 
 /**
- * Run one grid cell: semantically core::runOnce, plus the cooperative
- * cycle-budget watchdog wired into the GpuSystem run-loop heartbeat.
+ * Run one grid cell: semantically core::runOnce, plus the crash
+ * context and the optional per-cell timeline.
  */
 core::RunMetrics runCell(const GridCell &cell, JobContext &ctx);
 

@@ -104,18 +104,15 @@ ProgressSink::onJobDone(const JobResult &result)
                      done_, total_, result.label.c_str(),
                      result.ok ? "" : ", quarantined");
     } else if (result.ok) {
-        std::fprintf(stderr, "[exec] %4zu/%zu ok   %-28s %9.1f ms (w%u)%s\n",
+        std::fprintf(stderr, "[exec] %4zu/%zu ok   %-28s %9.1f ms (w%u)\n",
                      done_, total_, result.label.c_str(), result.wallMs,
-                     result.worker,
-                     result.attempts > 1 ? " [retried]" : "");
+                     result.worker);
     } else {
-        std::fprintf(stderr,
-                     "[exec] %4zu/%zu %s %-28s %9.1f ms (w%u, %u "
-                     "attempt(s)): %s\n",
+        std::fprintf(stderr, "[exec] %4zu/%zu %s %-28s %9.1f ms (w%u): %s\n",
                      done_, total_,
                      result.quarantined ? "QUAR" : "FAIL",
                      result.label.c_str(), result.wallMs, result.worker,
-                     result.attempts, result.error.c_str());
+                     result.error.c_str());
     }
 }
 

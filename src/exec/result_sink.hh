@@ -27,7 +27,7 @@ struct RunSummary
 {
     std::size_t totalJobs = 0;
     std::size_t failedJobs = 0;
-    /** Failed deterministically (panic/fatal); retries never help. */
+    /** Failed deterministically (panic/fatal); resuming never helps. */
     std::size_t quarantinedJobs = 0;
     /** Satisfied from the run manifest without simulating. */
     std::size_t resumedJobs = 0;

@@ -223,9 +223,8 @@ JobRecord::fromJsonLine(const std::string &line, JobRecord &out)
     std::string kind;
     if (jsonFieldString(line, "kind", kind)) {
         for (const auto k :
-             {FailureKind::None, FailureKind::Timeout,
-              FailureKind::SimBug, FailureKind::ConfigError,
-              FailureKind::WorkerException})
+             {FailureKind::None, FailureKind::SimBug,
+              FailureKind::ConfigError, FailureKind::WorkerException})
             if (kind == failureKindName(k))
                 out.kind = k;
     }
@@ -242,7 +241,7 @@ JobRecord::fromJsonLine(const std::string &line, JobRecord &out)
 
 RunManifest::RunManifest(std::string dir, std::string config)
     : dir_(std::move(dir)), config_(std::move(config)),
-      wal_(dir_ + "/jobs.jsonl")
+      wal_(walPath())
 {
 }
 
@@ -304,7 +303,7 @@ RunManifest::openOrCreate(const std::string &dir,
 void
 RunManifest::loadRecords()
 {
-    std::ifstream in(dir_ + "/jobs.jsonl");
+    std::ifstream in(walPath());
     std::size_t malformed = 0;
     for (std::string line; std::getline(in, line);) {
         if (line.empty())

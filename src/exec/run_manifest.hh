@@ -20,8 +20,8 @@
  * JobSpec::key — (design, app, measure/warmup cycles, platform
  * summary, seed, key suffix) — and that record is either `ok` or
  * `quarantined`. Quarantined failures are deterministic, so re-running
- * them cannot help; retryable failures (timeout, worker exception) are
- * *not* recorded and therefore re-run on resume. Metrics round-trip
+ * them cannot help; worker exceptions are *not* recorded and therefore
+ * re-run on resume. Metrics round-trip
  * through "%.17g", so a resumed batch reproduces a clean run's CSV
  * byte for byte.
  *
@@ -158,6 +158,7 @@ class RunManifest
 
     const std::string &dir() const { return dir_; }
     std::string crashDir() const { return dir_ + "/crash"; }
+    std::string walPath() const { return dir_ + "/jobs.jsonl"; }
 
     /** Use openOrCreate(); public only for std::make_unique. */
     RunManifest(std::string dir, std::string config);

@@ -216,13 +216,13 @@ ServeSim::planArrivals()
 }
 
 ServeSummary
-ServeSim::run(const core::GpuSystem::CycleHeartbeat &heartbeat)
+ServeSim::run()
 {
     // Jobs arriving at cycle 0 (trace-driven) bind before the first
     // tick, exactly like the classic path's construction-time source.
     admitArrivals(0);
     startJobs(0);
-    gpu_->run(opts_.horizon, 0, heartbeat,
+    gpu_->run(opts_.horizon, 0,
               [this](Cycle now) { return onCycle(now); });
 
     const Cycle end = gpu_->cycle();

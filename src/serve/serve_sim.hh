@@ -144,7 +144,7 @@ class ServeSim
     void setJobLogSink(stats::LineSink sink) { jobLog_ = std::move(sink); }
 
     /** Run to completion of all offered jobs or the horizon. */
-    ServeSummary run(const core::GpuSystem::CycleHeartbeat &heartbeat = {});
+    ServeSummary run();
 
     /** Outcomes of every offered job, by job id. Valid after run(). */
     const std::vector<JobOutcome> &outcomes() const { return outcomes_; }

@@ -35,11 +35,10 @@ using namespace dcl1;
 using namespace dcl1::exec;
 
 ExecOptions
-quietOpts(unsigned jobs)
+workers(unsigned jobs)
 {
     ExecOptions opts;
     opts.jobs = jobs;
-    opts.progress = false;
     return opts;
 }
 
@@ -334,9 +333,9 @@ TEST(Durable, CrashRecordRoundTripsReplayConfig)
     JobResult result;
     result.index = 3;
     result.label = "Private-40/LeNet";
-    result.kind = FailureKind::Timeout;
-    result.attempts = 3;
-    result.error = "cycle budget exceeded: 8000 > 4000";
+    result.kind = FailureKind::WorkerException;
+    result.attempts = 1;
+    result.error = "std::bad_alloc";
     const std::string context =
         "\"design\":\"Private-40\",\"app\":\"LeNet\",\"cores\":40,"
         "\"slices\":16,\"channels\":8,\"seed\":7,\"measure\":2000,"
@@ -378,6 +377,38 @@ TEST(DurableDeathTest, ConfiglessCrashRecordCannotReplay)
     ASSERT_TRUE(fileExists(path));
     EXPECT_EXIT(loadCrashRecord(path), ::testing::ExitedWithCode(1),
                 "no replayable config");
+}
+
+TEST(DurableDeathTest, CrashRecordNumbersAreStrict)
+{
+    // A replay of "8k" cores must not quietly simulate 8.
+    const std::string dir = freshDir("crash-strict");
+    JobResult result;
+    result.label = "garbled";
+    result.kind = FailureKind::SimBug;
+    writeCrashRecord(dir, result,
+                     "\"design\":\"Baseline\",\"app\":\"T-AlexNet\","
+                     "\"cores\":8k");
+    EXPECT_EXIT(loadCrashRecord(dir + "/" + crashRecordName(0, "garbled")),
+                ::testing::ExitedWithCode(1),
+                "field \"cores\": trailing garbage in '8k'");
+}
+
+TEST(DurableDeathTest, JsonlLogMayNotBeTheWal)
+{
+    // Per-job JSONL records interleaved with WAL records would read
+    // back as torn lines on resume; refuse before anything is written.
+    const std::string dir = freshDir("jsonl-wal");
+    auto manifest = RunManifest::openOrCreate(dir, "jsonl-wal");
+    ExecOptions opts = workers(1);
+    opts.jsonlPath = dir + "/./jobs.jsonl";
+    JobRunner runner(opts);
+    EXPECT_EXIT(runner.attachManifest(manifest.get()),
+                ::testing::ExitedWithCode(1), "write-ahead log");
+
+    opts.jsonlPath = dir + "/timing.jsonl";
+    JobRunner elsewhere(opts);
+    elsewhere.attachManifest(manifest.get());
 }
 
 TEST(Durable, InterruptFlagIsCooperative)
@@ -451,6 +482,61 @@ csvOf(const std::vector<JobResult> &results)
 }
 
 /**
+ * A worker exception is the one failure a resume recovers: the job
+ * leaves no WAL record, so the next run on the directory simulates it
+ * and the run after that resumes it.
+ */
+TEST(Durable, WorkerExceptionIsRerunByResume)
+{
+    const std::string dir = freshDir("flaky");
+    int calls = 0;
+    std::vector<JobSpec> specs(1);
+    specs[0].label = "flaky";
+    specs[0].key = "flaky-cell";
+    specs[0].fn = [&calls](JobContext &) {
+        if (++calls == 1)
+            throw std::runtime_error("transient");
+        core::RunMetrics rm;
+        rm.ipc = 1.5;
+        return rm;
+    };
+
+    {
+        auto manifest = RunManifest::openOrCreate(dir, "flaky");
+        JobRunner runner(workers(1));
+        runner.attachManifest(manifest.get());
+        const auto results = runner.run(specs);
+        EXPECT_FALSE(results[0].ok);
+        EXPECT_FALSE(results[0].quarantined);
+        EXPECT_EQ(results[0].kind, FailureKind::WorkerException);
+        EXPECT_EQ(results[0].attempts, 1u);
+        EXPECT_EQ(calls, 1);
+        EXPECT_EQ(manifest->completedCount(), 0u);
+    }
+    {
+        auto manifest = RunManifest::openOrCreate(dir, "flaky");
+        EXPECT_EQ(manifest->find("flaky-cell"), nullptr);
+        JobRunner runner(workers(1));
+        runner.attachManifest(manifest.get());
+        const auto results = runner.run(specs);
+        EXPECT_TRUE(results[0].ok) << results[0].error;
+        EXPECT_FALSE(results[0].resumed);
+        EXPECT_EQ(results[0].attempts, 1u);
+        EXPECT_EQ(calls, 2);
+    }
+    {
+        auto manifest = RunManifest::openOrCreate(dir, "flaky");
+        JobRunner runner(workers(1));
+        runner.attachManifest(manifest.get());
+        const auto results = runner.run(specs);
+        EXPECT_TRUE(results[0].ok);
+        EXPECT_TRUE(results[0].resumed);
+        EXPECT_EQ(results[0].metrics.ipc, 1.5);
+        EXPECT_EQ(calls, 2);
+    }
+}
+
+/**
  * The ISSUE-level contract: kill a 4-job sweep after 2 completions,
  * resume it, and the combined output is byte-identical to a run that
  * was never interrupted.
@@ -478,7 +564,7 @@ TEST(Durable, InterruptedSweepResumesByteIdentically)
     std::string clean_csv;
     {
         auto manifest = RunManifest::openOrCreate(clean_dir, config);
-        JobRunner runner(quietOpts(1));
+        JobRunner runner(workers(1));
         runner.attachManifest(manifest.get());
         const auto results = runner.run(set.specs());
         for (const auto &r : results)
@@ -490,7 +576,7 @@ TEST(Durable, InterruptedSweepResumesByteIdentically)
     const std::string dir = freshDir("resume-killed");
     {
         auto manifest = RunManifest::openOrCreate(dir, config);
-        JobRunner runner(quietOpts(1));
+        JobRunner runner(workers(1));
         runner.attachManifest(manifest.get());
         InterruptAfterSink interrupter(2);
         SummarySink summary;
@@ -517,7 +603,7 @@ TEST(Durable, InterruptedSweepResumesByteIdentically)
     {
         auto manifest = RunManifest::openOrCreate(dir, config);
         EXPECT_EQ(manifest->completedCount(), 2u);
-        JobRunner runner(quietOpts(1));
+        JobRunner runner(workers(1));
         runner.attachManifest(manifest.get());
         SummarySink summary;
         runner.addSink(&summary);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the parallel experiment-execution engine: deterministic
- * result ordering, fault isolation, memoization, the cycle-budget
- * watchdog and the observability sinks.
+ * result ordering, exactly-once execution, fault isolation,
+ * memoization and the observability sinks.
  */
 
 #include <gtest/gtest.h>
@@ -30,11 +30,10 @@ using namespace dcl1;
 using namespace dcl1::exec;
 
 ExecOptions
-quietOpts(unsigned jobs)
+workers(unsigned jobs)
 {
     ExecOptions opts;
     opts.jobs = jobs;
-    opts.progress = false;
     return opts;
 }
 
@@ -49,16 +48,16 @@ shortRun()
 
 TEST(Exec, ResolveWorkers)
 {
-    JobRunner serial(quietOpts(1));
+    JobRunner serial(workers(1));
     EXPECT_EQ(serial.resolveWorkers(100), 1u);
 
-    JobRunner four(quietOpts(4));
+    JobRunner four(workers(4));
     EXPECT_EQ(four.resolveWorkers(100), 4u);
     // Never more workers than jobs.
     EXPECT_EQ(four.resolveWorkers(2), 2u);
     EXPECT_EQ(four.resolveWorkers(0), 1u);
 
-    JobRunner defaulted(quietOpts(0));
+    JobRunner defaulted(workers(0));
     EXPECT_EQ(defaulted.resolveWorkers(1000),
               ExecOptions::hardwareConcurrency());
 }
@@ -83,7 +82,7 @@ TEST(Exec, ResultsLandByIndexNotCompletionOrder)
                  return rm;
              }});
     }
-    JobRunner runner(quietOpts(4));
+    JobRunner runner(workers(4));
     const auto results = runner.run(specs);
     ASSERT_EQ(results.size(), n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -92,6 +91,36 @@ TEST(Exec, ResultsLandByIndexNotCompletionOrder)
         EXPECT_TRUE(results[i].ok);
         EXPECT_DOUBLE_EQ(results[i].metrics.ipc, double(i));
         EXPECT_EQ(results[i].metrics.cycles, i);
+    }
+}
+
+TEST(Exec, EachJobRunsExactlyOnce)
+{
+    // Many tiny jobs on more workers than cores: the shared cursor
+    // must hand every job to exactly one worker.
+    constexpr std::size_t n = 500;
+    std::vector<std::atomic<unsigned>> runs(n);
+    std::atomic<unsigned> total{0};
+    std::vector<JobSpec> specs;
+    for (std::size_t i = 0; i < n; ++i)
+        specs.push_back({csprintf("tiny%zu", i), [&, i](JobContext &ctx) {
+                             runs[i].fetch_add(1);
+                             total.fetch_add(1);
+                             core::RunMetrics rm;
+                             rm.cycles = ctx.index();
+                             return rm;
+                         }});
+    JobRunner runner(workers(8));
+    const auto results = runner.run(specs);
+
+    EXPECT_EQ(total.load(), n);
+    ASSERT_EQ(results.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(runs[i].load(), 1u) << "job " << i;
+        EXPECT_TRUE(results[i].ok);
+        EXPECT_EQ(results[i].attempts, 1u);
+        EXPECT_EQ(results[i].metrics.cycles, i);
+        EXPECT_LT(results[i].worker, 8u);
     }
 }
 
@@ -116,7 +145,7 @@ TEST(Exec, FaultIsolation)
                              return rm;
                          }});
 
-    JobRunner runner(quietOpts(3));
+    JobRunner runner(workers(3));
     const auto results = runner.run(specs);
     ASSERT_EQ(results.size(), 7u);
 
@@ -137,50 +166,6 @@ TEST(Exec, PanicStillAbortsOutsideTheEngine)
     // remains fatal (death tests across the suite depend on this).
     EXPECT_EXIT(panic("untrapped"), ::testing::KilledBySignal(SIGABRT),
                 "untrapped");
-}
-
-TEST(Exec, CycleBudgetWatchdog)
-{
-    ExecOptions opts = quietOpts(2);
-    opts.cycleBudget = 1000;
-    std::vector<JobSpec> specs;
-    specs.push_back({"overruns", [](JobContext &ctx) -> core::RunMetrics {
-                         core::RunMetrics rm;
-                         for (Cycle c = 0; c < 100000; c += 100)
-                             ctx.checkCycleBudget(c);
-                         rm.ipc = 1.0; // not reached
-                         return rm;
-                     }});
-    specs.push_back({"fits", [](JobContext &ctx) {
-                         ctx.checkCycleBudget(500);
-                         core::RunMetrics rm;
-                         rm.ipc = 2.0;
-                         return rm;
-                     }});
-    JobRunner runner(opts);
-    const auto results = runner.run(specs);
-    EXPECT_FALSE(results[0].ok);
-    EXPECT_NE(results[0].error.find("cycle budget"), std::string::npos);
-    EXPECT_TRUE(results[1].ok);
-    EXPECT_DOUBLE_EQ(results[1].metrics.ipc, 2.0);
-}
-
-TEST(Exec, GridCellHonoursBudget)
-{
-    // A real grid cell whose warmup+measure interval exceeds the
-    // budget fails up front instead of simulating.
-    core::SystemConfig sys;
-    const auto &app = workload::appCatalog().front();
-    JobSet set;
-    set.addCell(sys, core::baselineDesign(), app.params, shortRun());
-
-    ExecOptions opts = quietOpts(1);
-    opts.cycleBudget = 100; // far below warmup+measure = 2500
-    JobRunner runner(opts);
-    const auto results = runner.run(set.specs());
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_FALSE(results[0].ok);
-    EXPECT_NE(results[0].error.find("cycle budget"), std::string::npos);
 }
 
 TEST(Exec, JobSetMemoization)
@@ -242,7 +227,7 @@ TEST(Exec, SerialAndParallelRunsAreIdentical)
                 out.push_back(0);
             }
         }
-        JobRunner runner(quietOpts(jobs));
+        JobRunner runner(workers(jobs));
         const auto results = runner.run(specs);
         for (const auto &r : results)
             EXPECT_TRUE(r.ok) << r.label << ": " << r.error;
@@ -291,7 +276,7 @@ TEST(Exec, SinksObserveEveryJob)
                              return rm;
                          }});
     CountingSink sink;
-    JobRunner runner(quietOpts(3));
+    JobRunner runner(workers(3));
     runner.addSink(&sink);
     const auto results = runner.run(specs);
     (void)results;
@@ -322,7 +307,7 @@ TEST(Exec, JsonlSinkWritesOneRecordPerJob)
                              throw std::runtime_error("line1\nline2");
                          }});
         JsonlSink sink(path);
-        JobRunner runner(quietOpts(2));
+        JobRunner runner(workers(2));
         runner.addSink(&sink);
         runner.run(specs);
     }
@@ -367,19 +352,10 @@ TEST(Exec, FromEnvStrictParsing)
                 "out of range");
     unsetenv("DCL1_JOBS");
 
-    setenv("DCL1_JOB_BUDGET", "5000", 1);
-    EXPECT_EQ(ExecOptions::fromEnv().cycleBudget, 5000u);
-    setenv("DCL1_JOB_BUDGET", "5k", 1);
+    setenv("DCL1_JOBS", "4k", 1);
     EXPECT_EXIT(ExecOptions::fromEnv(), ::testing::ExitedWithCode(1),
                 "trailing garbage");
-    unsetenv("DCL1_JOB_BUDGET");
-
-    setenv("DCL1_RETRIES", "7", 1);
-    EXPECT_EQ(ExecOptions::fromEnv().maxRetries, 7u);
-    setenv("DCL1_RETRIES", "lots", 1);
-    EXPECT_EXIT(ExecOptions::fromEnv(), ::testing::ExitedWithCode(1),
-                "is not a number");
-    unsetenv("DCL1_RETRIES");
+    unsetenv("DCL1_JOBS");
 
     setenv("DCL1_CRASH_DIR", "/tmp/crash", 1);
     EXPECT_EQ(ExecOptions::fromEnv().crashDir, "/tmp/crash");
@@ -404,7 +380,6 @@ TEST(Exec, FailureKindNamesAreStable)
     // Serialized into WAL records and crash files; renames would make
     // old run directories unreadable.
     EXPECT_STREQ(failureKindName(FailureKind::None), "none");
-    EXPECT_STREQ(failureKindName(FailureKind::Timeout), "timeout");
     EXPECT_STREQ(failureKindName(FailureKind::SimBug), "sim-bug");
     EXPECT_STREQ(failureKindName(FailureKind::ConfigError),
                  "config-error");
@@ -412,60 +387,8 @@ TEST(Exec, FailureKindNamesAreStable)
                  "worker-exception");
 }
 
-TEST(Exec, TimeoutRetriesWithEscalatingBudget)
-{
-    ExecOptions opts = quietOpts(1);
-    opts.cycleBudget = 1000;
-    opts.maxRetries = 2;
-    opts.budgetEscalation = 2.0;
-
-    std::vector<Cycle> budgets; // serial runner: no locking needed
-    std::vector<JobSpec> specs;
-    specs.push_back(
-        {"overruns", [&](JobContext &ctx) -> core::RunMetrics {
-             budgets.push_back(ctx.cycleBudget());
-             ctx.checkCycleBudget(1000000);
-             return {};
-         }});
-    const auto results = JobRunner(opts).run(specs);
-
-    EXPECT_FALSE(results[0].ok);
-    EXPECT_EQ(results[0].kind, FailureKind::Timeout);
-    EXPECT_FALSE(results[0].quarantined);
-    EXPECT_EQ(results[0].attempts, 3u);
-    ASSERT_EQ(budgets.size(), 3u);
-    EXPECT_EQ(budgets[0], 1000u);
-    EXPECT_EQ(budgets[1], 2000u);
-    EXPECT_EQ(budgets[2], 4000u);
-}
-
-TEST(Exec, TimeoutRecoversWhenEscalationSuffices)
-{
-    ExecOptions opts = quietOpts(1);
-    opts.cycleBudget = 1000;
-    opts.maxRetries = 2;
-
-    std::vector<JobSpec> specs;
-    specs.push_back({"nearmiss", [](JobContext &ctx) {
-                         // Needs 1500 cycles: over the first budget,
-                         // under the doubled one.
-                         ctx.checkCycleBudget(1500);
-                         core::RunMetrics rm;
-                         rm.ipc = 1.0;
-                         return rm;
-                     }});
-    const auto results = JobRunner(opts).run(specs);
-
-    EXPECT_TRUE(results[0].ok) << results[0].error;
-    EXPECT_EQ(results[0].attempts, 2u);
-    EXPECT_EQ(results[0].kind, FailureKind::None);
-}
-
 TEST(Exec, DeterministicFailuresAreQuarantinedWithoutRetry)
 {
-    ExecOptions opts = quietOpts(1);
-    opts.maxRetries = 5; // must NOT be spent on deterministic failures
-
     int panic_runs = 0, fatal_runs = 0;
     std::vector<JobSpec> specs;
     specs.push_back({"panics", [&](JobContext &) -> core::RunMetrics {
@@ -476,7 +399,7 @@ TEST(Exec, DeterministicFailuresAreQuarantinedWithoutRetry)
                          ++fatal_runs;
                          fatal("impossible configuration");
                      }});
-    const auto results = JobRunner(opts).run(specs);
+    const auto results = JobRunner(workers(1)).run(specs);
 
     EXPECT_FALSE(results[0].ok);
     EXPECT_TRUE(results[0].quarantined);
@@ -489,34 +412,6 @@ TEST(Exec, DeterministicFailuresAreQuarantinedWithoutRetry)
     EXPECT_EQ(results[1].kind, FailureKind::ConfigError);
     EXPECT_EQ(results[1].attempts, 1u);
     EXPECT_EQ(fatal_runs, 1);
-}
-
-TEST(Exec, WorkerExceptionsRetryAtConstantBudget)
-{
-    ExecOptions opts = quietOpts(1);
-    opts.cycleBudget = 1000;
-    opts.maxRetries = 2;
-
-    int runs = 0;
-    std::vector<Cycle> budgets;
-    std::vector<JobSpec> specs;
-    specs.push_back({"flaky", [&](JobContext &ctx) -> core::RunMetrics {
-                         budgets.push_back(ctx.cycleBudget());
-                         if (++runs < 3)
-                             throw std::runtime_error("transient");
-                         core::RunMetrics rm;
-                         rm.ipc = 1.0;
-                         return rm;
-                     }});
-    const auto results = JobRunner(opts).run(specs);
-
-    EXPECT_TRUE(results[0].ok) << results[0].error;
-    EXPECT_EQ(results[0].attempts, 3u);
-    // No escalation for unclassified exceptions: the budget was not
-    // the problem.
-    ASSERT_EQ(budgets.size(), 3u);
-    EXPECT_EQ(budgets[1], 1000u);
-    EXPECT_EQ(budgets[2], 1000u);
 }
 
 TEST(Exec, SummaryCountsQuarantinedJobs)
@@ -546,10 +441,8 @@ TEST(Exec, SummaryCountsQuarantinedJobs)
                          throw std::runtime_error("flake");
                      }});
 
-    ExecOptions opts = quietOpts(1);
-    opts.maxRetries = 0;
     CaptureSink sink;
-    JobRunner runner(opts);
+    JobRunner runner(workers(1));
     runner.addSink(&sink);
     runner.run(specs);
 

@@ -75,11 +75,10 @@ manifestText(const std::string &dir)
 }
 
 ExecOptions
-quietOpts(unsigned jobs)
+workers(unsigned jobs)
 {
     ExecOptions opts;
     opts.jobs = jobs;
-    opts.progress = false;
     return opts;
 }
 
@@ -153,7 +152,7 @@ std::vector<JobResult>
 workerPass(RunManifest &manifest, const std::vector<JobSpec> &specs,
            ResultSink *sink = nullptr)
 {
-    JobRunner worker(quietOpts(1));
+    JobRunner worker(workers(1));
     worker.attachManifest(&manifest, /*claim_cells=*/true);
     worker.addSink(sink);
     return worker.run(specs);
@@ -163,7 +162,7 @@ workerPass(RunManifest &manifest, const std::vector<JobSpec> &specs,
 std::vector<JobResult>
 mergePass(RunManifest &manifest, const std::vector<JobSpec> &specs)
 {
-    JobRunner merge(quietOpts(1));
+    JobRunner merge(workers(1));
     merge.attachManifest(&manifest);
     return merge.run(specs);
 }

@@ -197,7 +197,6 @@ TEST(ProfilerExecTest, PerJobReportsAreIsolated)
 {
     exec::ExecOptions opts;
     opts.jobs = 4;
-    opts.progress = false;
     opts.profile = true;
     exec::JobRunner runner(opts);
 
@@ -237,7 +236,6 @@ TEST(ProfilerExecTest, DisabledByDefault)
 {
     exec::ExecOptions opts;
     opts.jobs = 1;
-    opts.progress = false;
     exec::JobRunner runner(opts);
     std::vector<exec::JobSpec> specs(1);
     specs[0].label = "plain";
@@ -305,7 +303,6 @@ TEST(ProfilerExecTest, CoverageAtLeast95Percent)
 {
     exec::ExecOptions opts;
     opts.jobs = 1;
-    opts.progress = false;
     opts.profile = true;
     exec::JobRunner runner(opts);
     std::vector<exec::JobSpec> specs(1);

@@ -17,7 +17,7 @@
  * re-computes that reference and compares, byte for byte.
  *
  * Grid flags the launcher does not recognize (--designs, --apps,
- * --budget, --jobs, ...) are forwarded verbatim to every dcl1sweep it
+ * --jobs, --profile, ...) are forwarded verbatim to every dcl1sweep it
  * spawns, so the worker grid, the merge run, and the --verify
  * reference all describe the same batch.
  */
@@ -61,7 +61,7 @@ printHelp()
         "                     byte-identical\n"
         "\n"
         "Unrecognized --flags are forwarded to every spawned dcl1sweep\n"
-        "(use them for --designs/--apps/--jobs/--budget/...).\n"
+        "(use them for --designs/--apps/--jobs/...).\n"
         "\n"
         "%s\n",
         exec::kExitCodeContract);

@@ -37,7 +37,6 @@
  *                     JSON report (atomic). DCL1_PROF=1 equivalent.
  *                     Combined with --trace, host phase slices ride
  *                     along in the Chrome trace.
- *   --budget=N        fail the run after N simulated cycles (watchdog)
  *   --jsonl=FILE      append a JSON run record (timing, outcome)
  *   --crash-dir=DIR   write a structured crash record on failure
  *                     (DCL1_CRASH_DIR)
@@ -45,10 +44,12 @@
  *                     crash record written by a failed batch cell
  *   --help            usage + the exit-code contract
  *
+ * Numeric flags are parsed strictly: "2k" or "abc" is a configuration
+ * error (exit 1), never a silently truncated run.
+ *
  * The simulation executes as a single job of the src/exec engine: a
  * panic inside the model is reported as a failed run (exit 2) with
- * its message instead of aborting, host wall time is measured, and
- * the optional cycle-budget watchdog bounds a runaway configuration.
+ * its message instead of aborting, and host wall time is measured.
  * On failure the job's crash context (configuration, last cycle,
  * queue depths, recent ledger events under DCL1_CHECK) lands in
  * --crash-dir, and `--replay-crash=<that file>` turns the forensic
@@ -98,7 +99,6 @@ struct Options
     std::uint32_t slices = 32;
     std::uint32_t channels = 16;
     std::uint64_t seed = 1;
-    dcl1::Cycle budget = 0;
     std::string jsonlFile;
     std::string crashDir;
     std::string replayCrash;
@@ -109,6 +109,10 @@ struct Options
     bool listDesigns = false;
     bool help = false;
 };
+
+constexpr std::int64_t kMaxInt = std::numeric_limits<std::int64_t>::max();
+/** Upper bound of --cores/--slices/--channels. */
+constexpr std::int64_t kMaxUnits = 4096;
 
 std::optional<std::string>
 valueOf(const char *arg, const char *key)
@@ -143,8 +147,7 @@ parseArgs(int argc, char **argv)
             o.timelineFile = *v;
         else if (auto v = valueOf(a, "--timeline-interval"))
             o.timelineInterval = static_cast<Cycle>(parseEnvInt(
-                "--timeline-interval", v->c_str(), 1,
-                std::numeric_limits<std::int64_t>::max()));
+                "--timeline-interval", v->c_str(), 1, kMaxInt));
         else if (std::strcmp(a, "--trace") == 0)
             o.traceOutFile = "trace.json"; // bare: Chrome trace export
         else if (auto v = valueOf(a, "--trace-out"))
@@ -156,21 +159,23 @@ parseArgs(int argc, char **argv)
                 "--latency", v->c_str(), 1,
                 std::numeric_limits<std::uint32_t>::max()));
         else if (auto v = valueOf(a, "--cycles"))
-            o.cycles = std::strtoull(v->c_str(), nullptr, 10);
+            o.cycles = static_cast<Cycle>(
+                parseEnvInt("--cycles", v->c_str(), 1, kMaxInt));
         else if (auto v = valueOf(a, "--warmup"))
-            o.warmup = std::strtoull(v->c_str(), nullptr, 10);
+            o.warmup = static_cast<Cycle>(
+                parseEnvInt("--warmup", v->c_str(), 0, kMaxInt));
         else if (auto v = valueOf(a, "--cores"))
-            o.cores = std::strtoul(v->c_str(), nullptr, 10);
+            o.cores = static_cast<std::uint32_t>(
+                parseEnvInt("--cores", v->c_str(), 1, kMaxUnits));
         else if (auto v = valueOf(a, "--slices"))
-            o.slices = std::strtoul(v->c_str(), nullptr, 10);
+            o.slices = static_cast<std::uint32_t>(
+                parseEnvInt("--slices", v->c_str(), 1, kMaxUnits));
         else if (auto v = valueOf(a, "--channels"))
-            o.channels = std::strtoul(v->c_str(), nullptr, 10);
+            o.channels = static_cast<std::uint32_t>(
+                parseEnvInt("--channels", v->c_str(), 1, kMaxUnits));
         else if (auto v = valueOf(a, "--seed"))
-            o.seed = std::strtoull(v->c_str(), nullptr, 10);
-        else if (auto v = valueOf(a, "--budget"))
-            o.budget = static_cast<Cycle>(parseEnvInt(
-                "--budget", v->c_str(), 1,
-                std::numeric_limits<std::int64_t>::max()));
+            o.seed = static_cast<std::uint64_t>(
+                parseEnvInt("--seed", v->c_str(), 0, kMaxInt));
         else if (auto v = valueOf(a, "--jsonl"))
             o.jsonlFile = *v;
         else if (auto v = valueOf(a, "--crash-dir"))
@@ -226,7 +231,6 @@ printHelp()
         "  --drain           drain in-flight traffic and report\n"
         "  --profile[=FILE]  host phase profile: table on stderr, "
         "JSON to FILE\n"
-        "  --budget=N        simulated-cycle watchdog\n"
         "  --jsonl=FILE      append a JSON run record\n"
         "  --crash-dir=DIR   crash record on failure (DCL1_CRASH_DIR)\n"
         "  --replay-crash=FILE  re-run a recorded crash exactly\n"
@@ -344,8 +348,6 @@ main(int argc, char **argv)
     // wall time.
     exec::ExecOptions eopts;
     eopts.jobs = 1;
-    eopts.cycleBudget = o.budget;
-    eopts.maxRetries = 0; // interactive single shot; no silent re-runs
     eopts.crashDir = o.crashDir;
     if (eopts.crashDir.empty())
         eopts.crashDir = envStrOr("DCL1_CRASH_DIR", "");
@@ -373,11 +375,8 @@ main(int argc, char **argv)
         static_cast<unsigned long long>(o.warmup));
     specs[0].fn = [&](exec::JobContext &ctx) {
         ctx.setCrashContext(crash_cfg);
-        core::GpuSystem::CycleHeartbeat heartbeat;
-        if (ctx.cycleBudget() != 0)
-            heartbeat = [&ctx](Cycle now) { ctx.checkCycleBudget(now); };
         try {
-            gpu->run(o.cycles, o.warmup, heartbeat);
+            gpu->run(o.cycles, o.warmup);
             gpu->finishTelemetry();
         } catch (...) {
             try {

@@ -29,7 +29,6 @@
  *   --job-log-dir=DIR per-job JSONL per cell, <design>_<policy>_<L>.jsonl
  *   --csv=FILE        summary CSV, one row per cell (atomic)
  *   --jobs=N          worker threads (default: hardware)
- *   --budget=N        per-cell simulated-cycle watchdog
  *   --equivalence-check  verify one serve job granted every core
  *                     reproduces the classic path (--app, --design,
  *                     --cycles, --seed); exit 2 on digest mismatch
@@ -84,7 +83,6 @@ struct Options
     std::string jobLogDir;
     std::string csvFile;
     std::size_t workers = 0;
-    Cycle budget = 0;
     bool equivalenceCheck = false;
     std::string eqApp = "T-AlexNet";
     Cycle eqCycles = 20000;
@@ -150,13 +148,18 @@ parseArgs(int argc, char **argv)
                 "--horizon", v->c_str(), 1,
                 std::numeric_limits<std::int64_t>::max()));
         else if (auto v = valueOf(a, "--seed"))
-            o.seed = std::strtoull(v->c_str(), nullptr, 10);
+            o.seed = static_cast<std::uint64_t>(parseEnvInt(
+                "--seed", v->c_str(), 0,
+                std::numeric_limits<std::int64_t>::max()));
         else if (auto v = valueOf(a, "--cores"))
-            o.cores = std::strtoul(v->c_str(), nullptr, 10);
+            o.cores = static_cast<std::uint32_t>(
+                parseEnvInt("--cores", v->c_str(), 1, 4096));
         else if (auto v = valueOf(a, "--slices"))
-            o.slices = std::strtoul(v->c_str(), nullptr, 10);
+            o.slices = static_cast<std::uint32_t>(
+                parseEnvInt("--slices", v->c_str(), 1, 4096));
         else if (auto v = valueOf(a, "--channels"))
-            o.channels = std::strtoul(v->c_str(), nullptr, 10);
+            o.channels = static_cast<std::uint32_t>(
+                parseEnvInt("--channels", v->c_str(), 1, 4096));
         else if (auto v = valueOf(a, "--default-cores"))
             o.defaultCores = static_cast<std::uint32_t>(parseEnvInt(
                 "--default-cores", v->c_str(), 1, 1'000'000));
@@ -171,10 +174,6 @@ parseArgs(int argc, char **argv)
         else if (auto v = valueOf(a, "--jobs"))
             o.workers = static_cast<std::size_t>(
                 parseEnvInt("--jobs", v->c_str(), 1, 4096));
-        else if (auto v = valueOf(a, "--budget"))
-            o.budget = static_cast<Cycle>(parseEnvInt(
-                "--budget", v->c_str(), 1,
-                std::numeric_limits<std::int64_t>::max()));
         else if (std::strcmp(a, "--equivalence-check") == 0)
             o.equivalenceCheck = true;
         else if (auto v = valueOf(a, "--app"))
@@ -213,7 +212,6 @@ printHelp()
         "  --job-log-dir=DIR per-job JSONL per cell\n"
         "  --csv=FILE        summary CSV, one row per cell (atomic)\n"
         "  --jobs=N          worker threads\n"
-        "  --budget=N        per-cell simulated-cycle watchdog\n"
         "  --equivalence-check  single-job serve == classic single-app\n"
         "                    (--app=NAME --design=NAME --cycles=N "
         "--seed=N)\n"
@@ -361,8 +359,6 @@ main(int argc, char **argv)
 
     exec::ExecOptions eopts;
     eopts.jobs = o.workers;
-    eopts.cycleBudget = o.budget;
-    eopts.maxRetries = 0;
     exec::JobRunner runner(eopts);
     std::vector<exec::JobSpec> specs(cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -370,7 +366,7 @@ main(int argc, char **argv)
         specs[i].label = cell.design + "/" +
                          serve::policyName(cell.policy) + "/" +
                          stats::formatDouble(cell.lambda);
-        specs[i].fn = [&, i](exec::JobContext &ctx) {
+        specs[i].fn = [&, i](exec::JobContext &) {
             Cell &me = cells[i];
             const core::DesignConfig design =
                 core::designByName(me.design);
@@ -396,12 +392,7 @@ main(int argc, char **argv)
                     raw->appendLine(line);
                 });
             }
-            core::GpuSystem::CycleHeartbeat heartbeat;
-            if (ctx.cycleBudget() != 0)
-                heartbeat = [&ctx](Cycle now) {
-                    ctx.checkCycleBudget(now);
-                };
-            me.summary = sim.run(heartbeat);
+            me.summary = sim.run();
             return me.summary.machine;
         };
     }

@@ -22,15 +22,15 @@
  * --jobs value, and (via the run manifest's "%.17g" metric
  * round-trip) for any interrupt/resume split of the batch.
  *
- * Failures follow the retry-with-quarantine policy: a cell that
- * exceeds --budget retries up to --retries times with a doubling
- * budget; a panic/fatal inside the model is deterministic and is
- * quarantined immediately with a structured crash record under
- * <run-dir>/crash/ (or --crash-dir). The sweep always completes with
- * partial results; see --help for the exit-code contract. SIGINT
- * drains in-flight cells, finalizes the manifest, and exits
- * resumable. --jsonl=FILE (or DCL1_JOBS_LOG) appends per-job wall
- * time and outcome records.
+ * Each cell runs once. A panic/fatal inside the model is deterministic
+ * and is quarantined with a structured crash record under
+ * <run-dir>/crash/ (or --crash-dir); any other failed cell leaves no
+ * WAL record, so --resume=DIR runs it again. The sweep always
+ * completes with partial results; see --help for the exit-code
+ * contract. SIGINT drains in-flight cells, finalizes the manifest,
+ * and exits resumable. --jsonl=FILE (or DCL1_JOBS_LOG) appends per-job
+ * wall time and outcome records; it must not name the run
+ * directory's own jobs.jsonl, the write-ahead log.
  *
  * --timeline-dir[=DIR] writes one cycle-interval timeline JSONL per
  * cell (default DIR: <run-dir>/timeline, or ./timeline without a run
@@ -137,12 +137,6 @@ printHelp()
         "                     trees in --jsonl records, aggregate "
         "phase\n"
         "                     shares on stderr; CSV is unchanged\n"
-        "  --budget=N         per-cell simulated-cycle watchdog\n"
-        "                     (DCL1_JOB_BUDGET)\n"
-        "  --retries=N        retries for retryable failures, with a\n"
-        "                     doubling budget on timeouts (DCL1_RETRIES;"
-        "\n"
-        "                     default 2)\n"
         "  --run-dir=DIR      durable run directory (DCL1_RUN_DIR):\n"
         "                     manifest + per-cell write-ahead log +\n"
         "                     crash records; safe to re-run/resume\n"
@@ -201,13 +195,6 @@ main(int argc, char **argv)
         else if (a.rfind("--jobs=", 0) == 0)
             eopts.jobs = static_cast<unsigned>(parseEnvInt(
                 "--jobs", a.substr(7).c_str(), 0, 4096));
-        else if (a.rfind("--budget=", 0) == 0)
-            eopts.cycleBudget = static_cast<Cycle>(parseEnvInt(
-                "--budget", a.substr(9).c_str(), 1,
-                std::numeric_limits<std::int64_t>::max()));
-        else if (a.rfind("--retries=", 0) == 0)
-            eopts.maxRetries = static_cast<unsigned>(parseEnvInt(
-                "--retries", a.substr(10).c_str(), 0, 100));
         else if (a.rfind("--run-dir=", 0) == 0)
             run_dir = a.substr(10);
         else if (a.rfind("--resume=", 0) == 0) {
@@ -281,9 +268,8 @@ main(int argc, char **argv)
     }
 
     // Durable-run identity: everything that determines the grid and
-    // its results. Runtime knobs (--jobs, --budget, --retries) are
-    // deliberately absent — resuming with a larger budget to recover
-    // timed-out cells is the point of the retry policy.
+    // its results. Runtime knobs (--jobs, --profile, ...) are
+    // deliberately absent: they do not change a cell's result.
     std::unique_ptr<exec::RunManifest> manifest;
     if (!run_dir.empty()) {
         const std::string config = csprintf(
@@ -312,8 +298,7 @@ main(int argc, char **argv)
     if (manifest)
         runner.attachManifest(manifest.get(), /*claim_cells=*/worker_mode);
     exec::ProgressSink progress;
-    if (eopts.progress)
-        runner.addSink(&progress);
+    runner.addSink(&progress);
     std::unique_ptr<exec::JsonlSink> jsonl;
     if (!eopts.jsonlPath.empty()) {
         jsonl = std::make_unique<exec::JsonlSink>(eopts.jsonlPath);
@@ -418,7 +403,7 @@ main(int argc, char **argv)
     if (quarantined_cells > 0) {
         std::fprintf(stderr,
                      "[sweep] quarantined (deterministic failures; "
-                     "retry/resume cannot recover them):\n");
+                     "resume cannot recover them):\n");
         for (const exec::JobResult &r : results)
             if (r.quarantined)
                 std::fprintf(stderr, "[sweep]   %-28s %s: %s\n",
