@@ -111,9 +111,10 @@ std::string benchOutputPath(const std::string &filename);
 /**
  * Machine fingerprint as one JSON object: CPU model (from
  * /proc/cpuinfo), hardware thread count, compiler version, and
- * whether DCL1_CHECK invariant checking is compiled in. Embedded in
- * perf artifacts so tools/perfdiff can warn when two BENCH_perf.json
- * files came from different machines or build flavors.
+ * whether DCL1_CHECK invariant checking is compiled in. perfbench
+ * embeds it in every run's detail line, and tools/perf_trajectory.py
+ * records it per row, so numbers from different machines or build
+ * flavors can be told apart.
  */
 std::string machineFingerprintJson();
 

@@ -42,8 +42,8 @@ namespace dcl1::prof
 /**
  * Fixed phase taxonomy. A closed enum — not free-form strings — keeps
  * the hot-path cost of entering a phase at one array index and makes
- * reports comparable across runs, designs and PRs (perfdiff matches
- * phases by name).
+ * reports comparable across runs, designs and commits (phases are
+ * matched by name).
  */
 enum class Phase : std::uint8_t
 {
@@ -62,7 +62,7 @@ enum class Phase : std::uint8_t
 /** Number of Phase values (array sizing). */
 inline constexpr std::size_t kPhaseCount = 10;
 
-/** Stable phase name (schema field in BENCH_perf.json / jobs.jsonl). */
+/** Stable phase name (schema field in dcl1-prof-v1 / jobs.jsonl). */
 const char *phaseName(Phase phase);
 
 /** Cheap occurrence counters attributed to the profiled job. */

@@ -136,6 +136,16 @@ asCount(double v, Scanner &s)
     return static_cast<std::uint64_t>(v);
 }
 
+/** A job's cores: 0 (serving default) up to what dcl1serve accepts. */
+std::uint32_t
+asCores(double v, Scanner &s)
+{
+    const std::uint64_t n = asCount(v, s);
+    if (n > 4096)
+        s.bail("cores must be at most 4096");
+    return static_cast<std::uint32_t>(n);
+}
+
 void
 validateEntry(const MixEntry &e, const std::string &what)
 {
@@ -198,8 +208,7 @@ parseMixJson(const std::string &text, const std::string &what)
                 else if (key == "weight")
                     e.weight = s.parseNumber();
                 else if (key == "cores")
-                    e.cores = static_cast<std::uint32_t>(
-                        asCount(s.parseNumber(), s));
+                    e.cores = asCores(s.parseNumber(), s);
                 else if (key == "budget")
                     e.budget = asCount(s.parseNumber(), s);
                 else
@@ -245,8 +254,7 @@ parseJobTrace(const std::string &text, const std::string &what)
             } else if (key == "app") {
                 j.app = s.parseString();
             } else if (key == "cores") {
-                j.cores = static_cast<std::uint32_t>(
-                    asCount(s.parseNumber(), s));
+                j.cores = asCores(s.parseNumber(), s);
             } else if (key == "budget") {
                 j.budget = asCount(s.parseNumber(), s);
             } else {

@@ -14,7 +14,8 @@
  *
  * weight defaults to 1; cores and budget default to 0, meaning "use
  * the serving default" (footprint-class-sized cores, the catalog's
- * nominal instruction budget). The trace file format is JSONL, one
+ * nominal instruction budget). cores is at most 4096, as for
+ * dcl1serve --cores. The trace file format is JSONL, one
  * object per job with a required "cycle" (non-decreasing) plus the
  * same optional fields.
  */

@@ -26,9 +26,9 @@ SyntheticSource::SyntheticSource(const WorkloadParams &params,
 {
     if (num_cores == 0)
         fatal("SyntheticSource: zero cores");
-    if (params.warpsPerCore == 0 || params.warpsPerCore > 64)
-        fatal("SyntheticSource %s: warpsPerCore must be 1..64",
-              params.name.c_str());
+    if (params.warpsPerCore == 0 || params.warpsPerCore > kMaxWarpsPerCore)
+        fatal("SyntheticSource %s: warpsPerCore must be 1..%u",
+              params.name.c_str(), kMaxWarpsPerCore);
     if (params.sharedFrac > 0.0 && params.sharedLines == 0)
         fatal("SyntheticSource %s: sharedFrac without sharedLines",
               params.name.c_str());

@@ -1,5 +1,6 @@
 #include "workload/trace_file.hh"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -7,6 +8,23 @@
 
 namespace dcl1::workload
 {
+
+namespace
+{
+
+/** Parses hex digits after an optional 0x; false on anything else. */
+bool
+parseHexAddr(const std::string &s, Addr &out)
+{
+    const char *first = s.data();
+    const char *last = s.data() + s.size();
+    if (s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X'))
+        first += 2;
+    const auto [end, ec] = std::from_chars(first, last, out, 16);
+    return ec == std::errc() && end == last;
+}
+
+} // anonymous namespace
 
 TraceFileSource::TraceFileSource(const std::string &path,
                                  std::uint32_t num_cores, bool loop)
@@ -74,15 +92,28 @@ TraceFileSource::parse(std::istream &in, const std::string &name)
             if (!(ls >> addr_s >> r.bytes) || r.bytes == 0)
                 fatal("%s:%llu: memory op needs <hex-addr> <bytes>",
                       name.c_str(), (unsigned long long)lineno);
-            r.addr = std::strtoull(addr_s.c_str(), nullptr, 16);
-            std::string plus;
-            if (ls >> plus && plus == "+")
-                r.coalesce = true;
+            if (!parseHexAddr(addr_s, r.addr))
+                fatal("%s:%llu: bad address '%s' (expect hex digits "
+                      "after an optional 0x)",
+                      name.c_str(), (unsigned long long)lineno,
+                      addr_s.c_str());
         }
+        std::string tail;
+        if (ls >> tail && r.op != 'X' && tail == "+") {
+            r.coalesce = true;
+            tail.clear();
+            ls >> tail;
+        }
+        if (!tail.empty())
+            fatal("%s:%llu: unexpected '%s' at end of record",
+                  name.c_str(), (unsigned long long)lineno, tail.c_str());
         if (r.core >= numCores_)
             fatal("%s:%llu: core %u out of range (machine has %u)",
                   name.c_str(), (unsigned long long)lineno, r.core,
                   numCores_);
+        if (r.warp >= kMaxWarpsPerCore)
+            fatal("%s:%llu: warp %u out of range (max %u)", name.c_str(),
+                  (unsigned long long)lineno, r.warp, kMaxWarpsPerCore - 1);
         records.push_back(r);
         warpsPerCore_ = std::max(warpsPerCore_, r.warp + 1);
     }

@@ -12,6 +12,9 @@
  *   <core> <warp> A <hex-addr> <bytes> atomic
  *   <core> <warp> B <hex-addr> <bytes> non-L1 (bypass) access
  *
+ * <warp> is below kMaxWarpsPerCore (64). <hex-addr> is hex digits
+ * with an optional 0x prefix. A malformed record is fatal (file:line).
+ *
  * Consecutive R/W records of the same (core, warp) marked with a
  * trailing '+' coalesce into one multi-access instruction:
  *

@@ -121,6 +121,9 @@ class TraceSource
     virtual std::uint32_t warpsPerCore(CoreId core) const = 0;
 };
 
+/** Most warps a core may run (SyntheticSource, TraceFileSource). */
+inline constexpr std::uint32_t kMaxWarpsPerCore = 64;
+
 } // namespace dcl1::workload
 
 #endif // DCL1_WORKLOAD_WORKLOAD_HH

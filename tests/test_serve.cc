@@ -107,6 +107,13 @@ TEST(JobMixTest, ParseRejectsGarbage)
         SimAbort);
     EXPECT_THROW(parseMixJson("[{\"app\":\"T-AlexNet\"}] x", "t"),
                  SimAbort);
+    // cores above dcl1serve's limit of 4096 must not wrap: 2^32 would
+    // read as 0, the serving default.
+    const std::string head = "[{\"app\":\"T-AlexNet\",\"cores\":";
+    EXPECT_EQ(parseMixJson(head + "4096}]", "t").entries[0].cores, 4096u);
+    for (const char *cores : {"4097", "4294967296", "4294967297"})
+        EXPECT_THROW(parseMixJson(head + cores + "}]", "t"), SimAbort)
+            << cores;
 }
 
 TEST(JobMixTest, AppListAndSampler)
@@ -142,6 +149,10 @@ TEST(JobTraceTest, ParseAndValidate)
                  SimAbort); // arrivals must be non-decreasing
     EXPECT_THROW(parseJobTrace("{\"app\":\"T-AlexNet\"}\n", "t"),
                  SimAbort); // missing cycle
+    EXPECT_THROW(parseJobTrace("{\"cycle\":0,\"app\":\"T-AlexNet\","
+                               "\"cores\":4294967298}\n",
+                               "t"),
+                 SimAbort); // would wrap to 2 cores
 }
 
 // ---------------------------------------------------------------- catalog

@@ -71,10 +71,14 @@ TEST(TraceFile, CoalescedRecords)
 
 TEST(TraceFile, HexAddresses)
 {
-    auto src = fromString("0 0 R deadbeef 32\n");
+    auto src = fromString("0 0 R deadbeef 32\n"
+                          "0 63 R 0xDEADBEEF 32\n");
     WarpInstr i;
     src.nextInstr(0, 0, 0, i);
     EXPECT_EQ(i.accesses[0].addr, 0xdeadbeefull);
+    src.nextInstr(0, 63, 0, i);
+    EXPECT_EQ(i.accesses[0].addr, 0xdeadbeefull);
+    EXPECT_EQ(src.warpsPerCore(0), 64u); // warp 63 is the largest id
 }
 
 TEST(TraceFile, CommentsAndBlanks)
@@ -135,6 +139,21 @@ TEST(TraceFile, RejectsBadInput)
                 ::testing::ExitedWithCode(1), "no records");
     EXPECT_EXIT(fromString("0 0 X 0\n"), ::testing::ExitedWithCode(1),
                 "positive");
+    // A warp id that would wrap warpsPerCore to 0.
+    EXPECT_EXIT(fromString("0 4294967295 X 1\n"),
+                ::testing::ExitedWithCode(1), ":1: warp 4294967295 out");
+    EXPECT_EXIT(fromString("0 64 X 1\n"), ::testing::ExitedWithCode(1),
+                "warp 64 out of range");
+    EXPECT_EXIT(fromString("0 0 R zz 32\n"), ::testing::ExitedWithCode(1),
+                ":1: bad address 'zz'");
+    EXPECT_EXIT(fromString("0 0 R 100x 32\n"),
+                ::testing::ExitedWithCode(1), "bad address '100x'");
+    EXPECT_EXIT(fromString("0 0 R 0x 32\n"), ::testing::ExitedWithCode(1),
+                "bad address '0x'");
+    EXPECT_EXIT(fromString("0 0 R 0x100 32\n0 0 R 0x100 32 junk\n"),
+                ::testing::ExitedWithCode(1), ":2: unexpected 'junk'");
+    EXPECT_EXIT(fromString("0 0 R 0x100 32 + +\n"),
+                ::testing::ExitedWithCode(1), "unexpected '\\+'");
 }
 
 TEST(TraceFile, MissingFileIsFatal)
