@@ -562,6 +562,19 @@ GpuSystem::checkInvariants(const char *where)
               static_cast<unsigned long long>(tracker_->totalPresence()),
               static_cast<unsigned long long>(occupancy));
 
+    // Every L1-level read miss is one directory miss, and only once:
+    // an access the MSHR blocks is retried, not counted again.
+    std::uint64_t read_misses = 0;
+    forEachL1([&](const mem::CacheBank &bank) {
+        read_misses += bank.readMisses();
+    });
+    if (tracker_->totalMisses() != read_misses)
+        panic("checkInvariants(%s): replication directory counts %llu "
+              "misses but the L1s count %llu read misses",
+              where,
+              static_cast<unsigned long long>(tracker_->totalMisses()),
+              static_cast<unsigned long long>(read_misses));
+
     // NoC internal bookkeeping (crossbars also self-audit on their own
     // NoC-cycle cadence; this forces a full sweep now).
     for (const auto &net : nets_)

@@ -168,10 +168,13 @@ CacheBank::access(MemRequestPtr &req, Cycle now)
 
     ++misses_;
     ++readMisses_;
-    if (listener_)
-        listener_->onMiss(cacheId_, line);
 
+    // The directory sees a miss only once the MSHR takes it: a full
+    // target list rolls the access back below, and the retry next
+    // cycle is the same miss, not a new one.
     MshrOutcome mo = mshr_.registerMiss(line, req);
+    if (listener_ && mo != MshrOutcome::NoTargetFree)
+        listener_->onMiss(cacheId_, line);
     switch (mo) {
       case MshrOutcome::NewEntry:
         ++req->fetchDepth;

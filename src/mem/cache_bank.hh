@@ -134,6 +134,7 @@ class CacheBank
     std::uint64_t accesses() const { return accesses_.value(); }
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
+    std::uint64_t readMisses() const { return readMisses_.value(); }
     double
     missRate() const
     {

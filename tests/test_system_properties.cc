@@ -12,6 +12,7 @@
 #include <tuple>
 
 #include "core/gpu_system.hh"
+#include "workload/app_catalog.hh"
 #include "workload/workload.hh"
 
 namespace
@@ -142,6 +143,23 @@ TEST(SystemPropertyExtra, GridDeterminism)
         EXPECT_EQ(a.noc2Flits, b.noc2Flits);
         EXPECT_EQ(a.dramReads, b.dramReads);
     }
+}
+
+/**
+ * The replication directory counts each L1 read miss once. F-2MM
+ * camps on a few lines, so MSHR target lists fill up and the L1 keeps
+ * retrying blocked reads; a retry is the same miss, not a new one.
+ */
+TEST(SystemPropertyExtra, DirectoryCountsEachReadMissOnce)
+{
+    GpuSystem gpu(SystemConfig(), baselineDesign(),
+                  workload::appByName("F-2MM").params);
+    gpu.run(5000, 5000);
+    std::uint64_t read_misses = 0;
+    for (const auto &core : gpu.cores())
+        read_misses += core->l1()->readMisses();
+    EXPECT_GT(read_misses, 0u);
+    EXPECT_EQ(gpu.tracker().totalMisses(), read_misses);
 }
 
 /** Capacity monotonicity: more L1 never hurts the miss count much. */
