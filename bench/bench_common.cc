@@ -9,6 +9,7 @@
 
 #include "check/check.hh"
 #include "common/env.hh"
+#include "common/json.hh"
 #include "common/log.hh"
 #include "exec/atomic_file.hh"
 #include "exec/job_runner.hh"
@@ -204,9 +205,9 @@ machineFingerprintJson()
     return csprintf(
         "{\"cpu\":\"%s\",\"cores\":%u,\"compiler\":\"%s\","
         "\"checks\":%s}",
-        exec::jsonEscape(model).c_str(),
+        json::escape(model).c_str(),
         exec::ExecOptions::hardwareConcurrency(),
-        exec::jsonEscape(__VERSION__).c_str(),
+        json::escape(__VERSION__).c_str(),
         DCL1_CHECK_ENABLED ? "true" : "false");
 }
 

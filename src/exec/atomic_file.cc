@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <fstream>
 
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -105,6 +106,17 @@ AppendLog::appendLine(const std::string &line)
     }
     std::fflush(file_);
     return true;
+}
+
+std::optional<std::string>
+readFileText(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return std::nullopt;
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
 }
 
 void

@@ -17,12 +17,15 @@
  *    write() per record, flushed per record, so a kill can lose at
  *    most the record being written — never an earlier one, and a
  *    reader never sees an interleaved line.
+ *
+ * readFileText() is the matching reader for files read back whole.
  */
 
 #ifndef DCL1_EXEC_ATOMIC_FILE_HH
 #define DCL1_EXEC_ATOMIC_FILE_HH
 
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -94,6 +97,12 @@ class AppendLog
     std::FILE *file_ DCL1_GUARDED_BY(mutex_) = nullptr;
     bool warned_ DCL1_GUARDED_BY(mutex_) = false;
 };
+
+/**
+ * Whole content of @p path, or nullopt when it cannot be opened: the
+ * one reader for manifests, crash records, job mixes and job traces.
+ */
+std::optional<std::string> readFileText(const std::string &path);
 
 /**
  * Create directory @p path (and missing parents) if absent; fatal()

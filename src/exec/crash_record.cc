@@ -1,16 +1,14 @@
 #include "exec/crash_record.hh"
 
 #include <cctype>
-#include <fstream>
 #include <limits>
 
 #include "check/request_ledger.hh"
 #include "common/env.hh"
+#include "common/json.hh"
 #include "common/log.hh"
 #include "core/gpu_system.hh"
 #include "exec/atomic_file.hh"
-#include "exec/result_sink.hh"
-#include "exec/run_manifest.hh"
 
 namespace dcl1::exec
 {
@@ -61,7 +59,8 @@ crashSnapshotJson(core::GpuSystem &gpu)
 }
 
 std::string
-crashRecordName(std::size_t index, const std::string &label)
+jobFileName(std::size_t index, const std::string &label,
+            const char *extension)
 {
     std::string safe;
     for (const char c : label)
@@ -69,7 +68,13 @@ crashRecordName(std::size_t index, const std::string &label)
                  c == '-' || c == '+' || c == '.')
                     ? c
                     : '_';
-    return csprintf("job%03zu-%s.json", index, safe.c_str());
+    return csprintf("job%03zu-%s%s", index, safe.c_str(), extension);
+}
+
+std::string
+crashRecordName(std::size_t index, const std::string &label)
+{
+    return jobFileName(index, label, ".json");
 }
 
 void
@@ -86,10 +91,10 @@ writeCrashRecord(const std::string &dir, const JobResult &result,
                             "\"%s\",\"attempts\":%u,\"quarantined\":%s,"
                             "\"error\":\"%s\"",
                             result.index,
-                            jsonEscape(result.label).c_str(),
+                            json::escape(result.label).c_str(),
                             failureKindName(result.kind), result.attempts,
                             result.quarantined ? "true" : "false",
-                            jsonEscape(result.error).c_str());
+                            json::escape(result.error).c_str());
         if (!context.empty())
             out.stream() << "," << context;
         out.stream() << "}\n";
@@ -102,37 +107,59 @@ writeCrashRecord(const std::string &dir, const JobResult &result,
     }
 }
 
+std::string
+crashConfigJson(const std::string &design, const std::string &app,
+                const std::string &trace, const core::SystemConfig &sys,
+                Cycle measure, Cycle warmup)
+{
+    return csprintf(
+        "\"design\":\"%s\",\"%s\":\"%s\",\"cores\":%u,\"slices\":%u,"
+        "\"channels\":%u,\"seed\":%llu,\"measure\":%llu,\"warmup\":%llu",
+        json::escape(design).c_str(), trace.empty() ? "app" : "trace",
+        json::escape(trace.empty() ? app : trace).c_str(), sys.numCores,
+        sys.numL2Slices, sys.numChannels,
+        static_cast<unsigned long long>(sys.seed),
+        static_cast<unsigned long long>(measure),
+        static_cast<unsigned long long>(warmup));
+}
+
 CrashConfig
 loadCrashRecord(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
+    const std::optional<std::string> text = readFileText(path);
+    if (!text)
         fatal("cannot open crash record '%s'", path.c_str());
-    std::string text;
-    for (std::string line; std::getline(in, line);) {
-        text += line;
-        text += '\n';
-    }
+    json::Value record;
+    std::string error;
+    if (!json::parse(*text, record, error))
+        fatal("crash record '%s': %s", path.c_str(), error.c_str());
 
+    // Only top-level members count; the machine-state snapshot nested
+    // under "state" and "ledger" is for humans.
     CrashConfig cfg;
-    const bool has_app = jsonFieldString(text, "app", cfg.app);
-    const bool has_trace = jsonFieldString(text, "trace", cfg.trace);
-    if (!jsonFieldString(text, "design", cfg.design) ||
-        (!has_app && !has_trace))
-        fatal("crash record '%s' carries no replayable config "
-              "(jobs must cooperate via JobContext::setCrashContext)",
+    if (!record.get("design", cfg.design) ||
+        !record.getOptional("app", cfg.app) ||
+        !record.getOptional("trace", cfg.trace) ||
+        !record.getOptional("label", cfg.label) ||
+        !record.getOptional("error", cfg.error) ||
+        (cfg.app.empty() && cfg.trace.empty()))
+        fatal("crash record '%s' carries no replayable config: string "
+              "\"design\" and \"app\" or \"trace\" (jobs must cooperate "
+              "via JobContext::setCrashContext)",
               path.c_str());
     // Strict, with the ranges of the dcl1run flags they replay.
     constexpr std::int64_t max = std::numeric_limits<std::int64_t>::max();
     auto num = [&](const char *field, std::uint64_t fallback,
                    std::int64_t min_value, std::int64_t max_value) {
-        const std::string raw = jsonFieldRaw(text, field);
-        if (raw.empty())
+        const json::Value *v = record.find(field);
+        if (!v)
             return fallback;
         const std::string name =
             csprintf("crash record '%s' field \"%s\"", path.c_str(), field);
-        return static_cast<std::uint64_t>(
-            parseEnvInt(name.c_str(), raw.c_str(), min_value, max_value));
+        if (v->kind != json::Value::Kind::Number)
+            fatal("%s: expected a number", name.c_str());
+        return static_cast<std::uint64_t>(parseEnvInt(
+            name.c_str(), v->text.c_str(), min_value, max_value));
     };
     cfg.cores = static_cast<std::uint32_t>(num("cores", cfg.cores, 1, 4096));
     cfg.slices =
@@ -142,8 +169,6 @@ loadCrashRecord(const std::string &path)
     cfg.seed = num("seed", cfg.seed, 0, max);
     cfg.measure = num("measure", cfg.measure, 1, max);
     cfg.warmup = num("warmup", cfg.warmup, 0, max);
-    jsonFieldString(text, "label", cfg.label);
-    jsonFieldString(text, "error", cfg.error);
     return cfg;
 }
 

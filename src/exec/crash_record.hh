@@ -26,6 +26,7 @@
 namespace dcl1::core
 {
 class GpuSystem;
+struct SystemConfig;
 } // namespace dcl1::core
 
 namespace dcl1::exec
@@ -47,6 +48,13 @@ std::string crashSnapshotJson(core::GpuSystem &gpu);
 void writeCrashRecord(const std::string &dir, const JobResult &result,
                       const std::string &context);
 
+/**
+ * Per-job file name "job007-Sh40_T-AlexNet<extension>": characters
+ * outside [A-Za-z0-9+.-] become '_', so '/' never splits the path.
+ */
+std::string jobFileName(std::size_t index, const std::string &label,
+                        const char *extension);
+
 /** File name the record for job @p index / @p label lands under. */
 std::string crashRecordName(std::size_t index, const std::string &label);
 
@@ -66,7 +74,16 @@ struct CrashConfig
     std::string error; ///< recorded failure text (informational)
 };
 
-/** Load a crash record; fatal() when unreadable or config-less. */
+/** The replayable crash-context fields loadCrashRecord() reads back;
+ *  a non-empty @p trace is recorded instead of @p app. */
+std::string crashConfigJson(const std::string &design,
+                            const std::string &app,
+                            const std::string &trace,
+                            const core::SystemConfig &sys, Cycle measure,
+                            Cycle warmup);
+
+/** Load a crash record; fatal() when it is unreadable, not strict
+ *  JSON, config-less, or has a number outside its dcl1run range. */
 CrashConfig loadCrashRecord(const std::string &path);
 
 } // namespace dcl1::exec

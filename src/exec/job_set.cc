@@ -1,33 +1,12 @@
 #include "exec/job_set.hh"
 
-#include <cctype>
-
 #include "check/check.hh"
 #include "common/log.hh"
 #include "exec/atomic_file.hh"
 #include "exec/crash_record.hh"
-#include "exec/result_sink.hh"
 
 namespace dcl1::exec
 {
-
-namespace
-{
-
-/** "<dir>/job007-Sh40_T-AlexNet.jsonl" (crash-record sanitization). */
-std::string
-timelineFileName(std::size_t index, const std::string &label)
-{
-    std::string safe;
-    for (const char c : label)
-        safe += (std::isalnum(static_cast<unsigned char>(c)) ||
-                 c == '-' || c == '+' || c == '.')
-                    ? c
-                    : '_';
-    return csprintf("job%03zu-%s.jsonl", index, safe.c_str());
-}
-
-} // anonymous namespace
 
 core::RunMetrics
 runCell(const GridCell &cell, JobContext &ctx)
@@ -35,15 +14,9 @@ runCell(const GridCell &cell, JobContext &ctx)
     // Crash-diagnostic cooperation: hand the engine a replayable
     // description of this cell up front, so even a death during
     // construction leaves a usable record.
-    const std::string config = csprintf(
-        "\"design\":\"%s\",\"app\":\"%s\",\"cores\":%u,\"slices\":%u,"
-        "\"channels\":%u,\"seed\":%llu,\"measure\":%llu,\"warmup\":%llu",
-        jsonEscape(cell.design.name).c_str(),
-        jsonEscape(cell.app.name).c_str(), cell.sys.numCores,
-        cell.sys.numL2Slices, cell.sys.numChannels,
-        static_cast<unsigned long long>(cell.sys.seed),
-        static_cast<unsigned long long>(cell.opts.measureCycles),
-        static_cast<unsigned long long>(cell.opts.warmupCycles));
+    const std::string config =
+        crashConfigJson(cell.design.name, cell.app.name, "", cell.sys,
+                        cell.opts.measureCycles, cell.opts.warmupCycles);
     ctx.setCrashContext(config);
 
     core::GpuSystem gpu(cell.sys, cell.design, cell.app);
@@ -113,7 +86,7 @@ JobSet::addCell(const core::SystemConfig &sys,
     if (!timelineDir_.empty()) {
         cell.timelinePath =
             timelineDir_ + "/" +
-            timelineFileName(specs_.size(), spec.label);
+            jobFileName(specs_.size(), spec.label, ".jsonl");
         cell.timelineInterval = timelineInterval_;
     }
     spec.fn = [cell = std::move(cell)](JobContext &ctx) {

@@ -1,43 +1,10 @@
 #include "exec/result_sink.hh"
 
+#include "common/json.hh"
 #include "common/log.hh"
 
 namespace dcl1::exec
 {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += csprintf("\\u%04x",
-                                static_cast<unsigned>(
-                                    static_cast<unsigned char>(c)));
-            else
-                out += c;
-        }
-    }
-    return out;
-}
 
 void
 SinkFanout::add(ResultSink *sink)
@@ -209,15 +176,15 @@ JsonlSink::onJobDone(const JobResult &result)
         "\"worker\":%u,%s"
         "\"wall_ms\":%.3f,\"cycles\":%llu,\"instructions\":%llu,"
         "\"ipc\":%.6f,\"error\":\"%s\",\"timeline\":\"%s\"}",
-        result.index, jsonEscape(result.label).c_str(),
+        result.index, json::escape(result.label).c_str(),
         result.ok ? "true" : "false", result.resumed ? "true" : "false",
         result.quarantined ? "true" : "false",
         failureKindName(result.kind), result.attempts, result.worker,
         prof_field.c_str(),
         result.wallMs, static_cast<unsigned long long>(m.cycles),
         static_cast<unsigned long long>(m.instructions), m.ipc,
-        jsonEscape(result.error).c_str(),
-        jsonEscape(result.timelinePath).c_str()));
+        json::escape(result.error).c_str(),
+        json::escape(result.timelinePath).c_str()));
 }
 
 void

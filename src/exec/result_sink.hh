@@ -147,9 +147,6 @@ class SinkFanout
     std::vector<ResultSink *> sinks_ DCL1_GUARDED_BY(mutex_);
 };
 
-/** Escape a string for embedding in a JSON double-quoted literal. */
-std::string jsonEscape(const std::string &s);
-
 } // namespace dcl1::exec
 
 #endif // DCL1_EXEC_RESULT_SINK_HH

@@ -1,6 +1,7 @@
 #include "exec/run_manifest.hh"
 
 #include <cctype>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -9,10 +10,10 @@
 #include <unistd.h>
 
 #include "check/check.hh"
+#include "common/json.hh"
 #include "common/log.hh"
 #include "exec/determinism.hh"
 #include "exec/exit_codes.hh"
-#include "exec/result_sink.hh"
 
 namespace dcl1::exec
 {
@@ -23,102 +24,29 @@ namespace
 /** Bump when the WAL record layout changes incompatibly. */
 constexpr int kWalSchema = 1;
 
-std::string
-readWholeFile(const std::string &path)
+bool
+readRunMetrics(const json::Value &m, core::RunMetrics &rm)
 {
-    std::ifstream in(path);
-    std::string text;
-    for (std::string line; std::getline(in, line);) {
-        text += line;
-        text += '\n';
-    }
-    return text;
+    return m.get("cycles", rm.cycles) &&
+           m.get("instructions", rm.instructions) && m.get("ipc", rm.ipc) &&
+           m.get("l1_accesses", rm.l1Accesses) &&
+           m.get("l1_misses", rm.l1Misses) &&
+           m.get("l1_miss_rate", rm.l1MissRate) &&
+           m.get("repl_ratio", rm.replicationRatio) &&
+           m.get("avg_replicas", rm.avgReplicas) &&
+           m.get("max_l1_port_util", rm.maxL1PortUtil) &&
+           m.get("max_core_reply_util", rm.maxCoreReplyLinkUtil) &&
+           m.get("max_mem_reply_util", rm.maxMemReplyLinkUtil) &&
+           m.get("avg_read_latency", rm.avgReadLatency) &&
+           m.get("noc1_flits", rm.noc1Flits) &&
+           m.get("noc2_flits", rm.noc2Flits) &&
+           m.get("l2_accesses", rm.l2Accesses) &&
+           m.get("l2_misses", rm.l2Misses) &&
+           m.get("dram_reads", rm.dramReads) &&
+           m.get("dram_writes", rm.dramWrites);
 }
 
 } // anonymous namespace
-
-std::string
-jsonUnescape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '\\' || i + 1 >= s.size()) {
-            out += s[i];
-            continue;
-        }
-        const char next = s[++i];
-        switch (next) {
-          case 'n':
-            out += '\n';
-            break;
-          case 'r':
-            out += '\r';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          case 'u':
-            if (i + 4 < s.size()) {
-                out += static_cast<char>(
-                    std::strtoul(s.substr(i + 1, 4).c_str(), nullptr,
-                                 16));
-                i += 4;
-            }
-            break;
-          default:
-            out += next; // \" and \\ (and anything unknown, verbatim)
-        }
-    }
-    return out;
-}
-
-bool
-jsonFieldString(const std::string &text, const char *field,
-                std::string &out)
-{
-    const std::string needle = csprintf("\"%s\":\"", field);
-    const std::size_t start = text.find(needle);
-    if (start == std::string::npos)
-        return false;
-    std::size_t i = start + needle.size();
-    std::string raw;
-    while (i < text.size() && text[i] != '"') {
-        if (text[i] == '\\' && i + 1 < text.size()) {
-            raw += text[i];
-            ++i;
-        }
-        raw += text[i];
-        ++i;
-    }
-    if (i >= text.size())
-        return false; // unterminated string: malformed record
-    out = jsonUnescape(raw);
-    return true;
-}
-
-std::string
-jsonFieldRaw(const std::string &text, const char *field)
-{
-    const std::string needle = csprintf("\"%s\":", field);
-    const std::size_t start = text.find(needle);
-    if (start == std::string::npos)
-        return "";
-    std::size_t i = start + needle.size();
-    if (i < text.size() && text[i] == '{') {
-        // Flat nested object (our metrics): no inner braces/strings
-        // containing braces, so scan to the matching close.
-        const std::size_t close = text.find('}', i);
-        if (close == std::string::npos)
-            return "";
-        return text.substr(i, close - i + 1);
-    }
-    std::string out;
-    while (i < text.size() && text[i] != ',' && text[i] != '}' &&
-           text[i] != '\n')
-        out += text[i++];
-    return out;
-}
 
 std::string
 runMetricsJson(const core::RunMetrics &rm)
@@ -150,39 +78,11 @@ runMetricsJson(const core::RunMetrics &rm)
 }
 
 bool
-parseRunMetricsJson(const std::string &json, core::RunMetrics &rm)
+parseRunMetricsJson(const std::string &text, core::RunMetrics &rm)
 {
-    auto u64 = [&](const char *field, std::uint64_t &out) {
-        const std::string raw = jsonFieldRaw(json, field);
-        if (raw.empty())
-            return false;
-        out = std::strtoull(raw.c_str(), nullptr, 10);
-        return true;
-    };
-    auto f64 = [&](const char *field, double &out) {
-        const std::string raw = jsonFieldRaw(json, field);
-        if (raw.empty())
-            return false;
-        out = std::strtod(raw.c_str(), nullptr);
-        return true;
-    };
-    return u64("cycles", rm.cycles) &&
-           u64("instructions", rm.instructions) && f64("ipc", rm.ipc) &&
-           u64("l1_accesses", rm.l1Accesses) &&
-           u64("l1_misses", rm.l1Misses) &&
-           f64("l1_miss_rate", rm.l1MissRate) &&
-           f64("repl_ratio", rm.replicationRatio) &&
-           f64("avg_replicas", rm.avgReplicas) &&
-           f64("max_l1_port_util", rm.maxL1PortUtil) &&
-           f64("max_core_reply_util", rm.maxCoreReplyLinkUtil) &&
-           f64("max_mem_reply_util", rm.maxMemReplyLinkUtil) &&
-           f64("avg_read_latency", rm.avgReadLatency) &&
-           u64("noc1_flits", rm.noc1Flits) &&
-           u64("noc2_flits", rm.noc2Flits) &&
-           u64("l2_accesses", rm.l2Accesses) &&
-           u64("l2_misses", rm.l2Misses) &&
-           u64("dram_reads", rm.dramReads) &&
-           u64("dram_writes", rm.dramWrites);
+    json::Value m;
+    std::string error;
+    return json::parse(text, m, error) && readRunMetrics(m, rm);
 }
 
 std::string
@@ -199,44 +99,36 @@ JobRecord::toJsonLine() const
         "{\"key\":\"%s\",\"label\":\"%s\",\"ok\":%s,"
         "\"quarantined\":%s,\"attempts\":%u,\"kind\":\"%s\","
         "\"metrics\":%s,\"error\":\"%s\",\"timeline\":\"%s\"}",
-        jsonEscape(key).c_str(), jsonEscape(label).c_str(),
+        json::escape(key).c_str(), json::escape(label).c_str(),
         ok ? "true" : "false", quarantined ? "true" : "false", attempts,
         failureKindName(kind), runMetricsJson(metrics).c_str(),
-        jsonEscape(error).c_str(), jsonEscape(timeline).c_str());
+        json::escape(error).c_str(), json::escape(timeline).c_str());
 }
 
 bool
 JobRecord::fromJsonLine(const std::string &line, JobRecord &out)
 {
-    if (!jsonFieldString(line, "key", out.key) ||
-        !jsonFieldString(line, "label", out.label))
+    json::Value v;
+    std::string error, kind;
+    std::uint64_t attempts = 0;
+    // "timeline" is absent in records from before the telemetry layer;
+    // those jobs simply have no timeline to point at.
+    if (!json::parse(line, v, error) || !v.get("key", out.key) ||
+        !v.get("label", out.label) || !v.get("ok", out.ok) ||
+        !v.get("quarantined", out.quarantined) ||
+        !v.get("attempts", attempts) || attempts > UINT_MAX ||
+        !v.getOptional("kind", kind) ||
+        !v.getOptional("error", out.error) ||
+        !v.getOptional("timeline", out.timeline))
         return false;
-    const std::string ok = jsonFieldRaw(line, "ok");
-    const std::string quarantined = jsonFieldRaw(line, "quarantined");
-    const std::string attempts = jsonFieldRaw(line, "attempts");
-    if (ok.empty() || quarantined.empty() || attempts.empty())
-        return false;
-    out.ok = ok == "true";
-    out.quarantined = quarantined == "true";
-    out.attempts = static_cast<unsigned>(
-        std::strtoul(attempts.c_str(), nullptr, 10));
-    std::string kind;
-    if (jsonFieldString(line, "kind", kind)) {
-        for (const auto k :
-             {FailureKind::None, FailureKind::SimBug,
-              FailureKind::ConfigError, FailureKind::WorkerException})
-            if (kind == failureKindName(k))
-                out.kind = k;
-    }
-    jsonFieldString(line, "error", out.error);
-    // Absent in schema-compatible records from before the telemetry
-    // layer; those jobs simply have no timeline to point at.
-    jsonFieldString(line, "timeline", out.timeline);
-    const std::string metrics = jsonFieldRaw(line, "metrics");
-    if (out.ok &&
-        (metrics.empty() || !parseRunMetricsJson(metrics, out.metrics)))
-        return false;
-    return true;
+    out.attempts = static_cast<unsigned>(attempts);
+    for (const auto k : {FailureKind::None, FailureKind::SimBug,
+                         FailureKind::ConfigError,
+                         FailureKind::WorkerException})
+        if (kind == failureKindName(k))
+            out.kind = k;
+    const json::Value *metrics = v.find("metrics");
+    return !out.ok || (metrics && readRunMetrics(*metrics, out.metrics));
 }
 
 RunManifest::RunManifest(std::string dir, std::string config)
@@ -254,9 +146,9 @@ RunManifest::openOrCreate(const std::string &dir,
     ensureDirectory(dir);
     auto m = std::make_unique<RunManifest>(dir, config);
 
-    const std::string manifest_path = dir + "/manifest.json";
-    const std::string existing = readWholeFile(manifest_path);
-    if (existing.empty()) {
+    const std::optional<std::string> existing =
+        readFileText(dir + "/manifest.json");
+    if (!existing || existing->empty()) {
         MutexLock lock(m->mutex_);
         m->writeManifestFile("running");
         return m;
@@ -266,14 +158,18 @@ RunManifest::openOrCreate(const std::string &dir,
     // the generic config-error 1): a fleet launcher seeing it knows
     // *every* worker it would spawn against this directory is doomed,
     // where exit 1 just means one worker got a flag wrong.
-    std::string stored_config, stored_signature;
-    if (!jsonFieldString(existing, "config", stored_config) ||
-        !jsonFieldString(existing, "signature", stored_signature)) {
+    json::Value manifest;
+    std::string error, stored_config, stored_signature;
+    if (json::parse(*existing, manifest, error) &&
+        !(manifest.get("config", stored_config) &&
+          manifest.get("signature", stored_signature)))
+        error = "no \"config\" and \"signature\" strings";
+    if (!error.empty()) {
         std::fprintf(stderr,
-                     "run directory '%s': unreadable manifest.json — "
-                     "not a dcl1 run directory? Use a fresh "
+                     "run directory '%s': unreadable manifest.json (%s) "
+                     "— not a dcl1 run directory? Use a fresh "
                      "directory.\n",
-                     dir.c_str());
+                     dir.c_str(), error.c_str());
         std::exit(kExitIncompatibleRunDir);
     }
     if (stored_signature != buildSignature()) {
@@ -387,8 +283,8 @@ RunManifest::writeManifestFile(const std::string &status)
     out.stream() << csprintf(
         "{\"signature\":\"%s\",\"config\":\"%s\",\"status\":\"%s\","
         "\"completed\":%zu}\n",
-        jsonEscape(buildSignature()).c_str(),
-        jsonEscape(config_).c_str(), jsonEscape(status).c_str(),
+        json::escape(buildSignature()).c_str(),
+        json::escape(config_).c_str(), json::escape(status).c_str(),
         records_.size());
     out.commit();
 }

@@ -49,33 +49,14 @@
 namespace dcl1::exec
 {
 
-/// @name Minimal JSON field access (for the flat records we write)
-/// @{
-
-/** Inverse of jsonEscape (result_sink.hh). */
-std::string jsonUnescape(const std::string &s);
-
-/**
- * Find `"field":"<string>"` in @p text; true and the unescaped value
- * when present. Escaped string values cannot collide with the quoted
- * search pattern, so first occurrence is unambiguous for our records.
- */
-bool jsonFieldString(const std::string &text, const char *field,
-                     std::string &out);
-
-/**
- * Raw (unquoted) value of `"field":` — number, bool, or object — as
- * the substring up to the next delimiter; empty when absent.
- */
-std::string jsonFieldRaw(const std::string &text, const char *field);
-
-/// @}
-
 /** Serialize metrics as a JSON object; doubles use %.17g (exact). */
 std::string runMetricsJson(const core::RunMetrics &rm);
 
-/** Parse runMetricsJson output; false on any missing field. */
-bool parseRunMetricsJson(const std::string &json, core::RunMetrics &rm);
+/**
+ * Parse runMetricsJson output; false on malformed JSON or a missing or
+ * mistyped field (counts must be unsigned integers).
+ */
+bool parseRunMetricsJson(const std::string &text, core::RunMetrics &rm);
 
 /** Identity of the producing build (WAL schema + check mode). */
 std::string buildSignature();
@@ -96,7 +77,12 @@ struct JobRecord
     /** One JSONL line. */
     std::string toJsonLine() const;
 
-    /** Parse a toJsonLine() line; false on malformed input. */
+    /**
+     * Parse a toJsonLine() line; false unless the line is exactly one
+     * JSON object whose ok/quarantined are booleans, attempts an
+     * unsigned int and, for an ok record, metrics complete. Unknown
+     * members are ignored.
+     */
     static bool fromJsonLine(const std::string &line, JobRecord &out);
 };
 

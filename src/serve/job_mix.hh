@@ -15,9 +15,15 @@
  * weight defaults to 1; cores and budget default to 0, meaning "use
  * the serving default" (footprint-class-sized cores, the catalog's
  * nominal instruction budget). cores is at most 4096, as for
- * dcl1serve --cores. The trace file format is JSONL, one
- * object per job with a required "cycle" (non-decreasing) plus the
- * same optional fields.
+ * dcl1serve --cores. The trace file format is JSONL: one object per
+ * non-blank line, one line per job, with a required "cycle"
+ * (non-decreasing) plus the same optional fields except weight.
+ *
+ * Both are strict JSON (common/json.hh): numbers follow the JSON
+ * grammar, so "+3", ".5" and "1." are rejected; cores, budget and
+ * cycle must be plain non-negative integers (budget and cycle at most
+ * 10^18); a string's \u escapes may name only U+0000..U+007F;
+ * duplicate and unknown keys are errors.
  */
 
 #ifndef DCL1_SERVE_JOB_MIX_HH
@@ -52,9 +58,9 @@ struct JobMix
 JobMix mixFromAppList(const std::string &csv);
 
 /**
- * Parse mix JSON text. fatal()s with @p what and an offset on
- * malformed input, unknown keys, unknown apps, or non-positive
- * weights.
+ * Parse mix JSON text. fatal()s naming @p what on malformed JSON
+ * (with its offset), and naming the entry on unknown keys, unknown
+ * apps, out-of-range values or non-positive weights.
  */
 JobMix parseMixJson(const std::string &text, const std::string &what);
 
@@ -70,7 +76,10 @@ struct TraceJob
     std::uint64_t budget = 0;
 };
 
-/** Parse JSONL trace text (see file comment). */
+/**
+ * Parse JSONL trace text (see file comment); fatal()s naming
+ * "@p what:<line>" on the first bad line.
+ */
 std::vector<TraceJob> parseJobTrace(const std::string &text,
                                     const std::string &what);
 

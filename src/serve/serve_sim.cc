@@ -5,9 +5,9 @@
 #include <limits>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "exec/determinism.hh"
-#include "exec/result_sink.hh"
 #include "serve/arrival.hh"
 #include "workload/app_catalog.hh"
 #include "workload/synthetic.hh"
@@ -375,7 +375,7 @@ ServeSim::emitJobLog(const JobOutcome &o)
     if (!jobLog_)
         return;
     std::ostringstream os;
-    os << "{\"job\":" << o.id << ",\"app\":\"" << exec::jsonEscape(o.app)
+    os << "{\"job\":" << o.id << ",\"app\":\"" << json::escape(o.app)
        << "\",\"tenant\":" << o.tenant
        << ",\"cores_req\":" << o.coresRequested
        << ",\"cores\":" << o.coresGranted << ",\"budget\":" << o.budget

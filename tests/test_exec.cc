@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "exec/determinism.hh"
+#include "common/json.hh"
 #include "common/log.hh"
 #include "core/design.hh"
 #include "exec/exit_codes.hh"
@@ -333,11 +334,11 @@ TEST(Exec, JsonlSinkWritesOneRecordPerJob)
 
 TEST(Exec, JsonEscape)
 {
-    EXPECT_EQ(jsonEscape("plain"), "plain");
-    EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
-    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(jsonEscape("a\nb\tc"), "a\\nb\\tc");
-    EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
+    EXPECT_EQ(json::escape("plain"), "plain");
+    EXPECT_EQ(json::escape("a\"b"), "a\\\"b");
+    EXPECT_EQ(json::escape("a\\b"), "a\\\\b");
+    EXPECT_EQ(json::escape("a\nb\tc"), "a\\nb\\tc");
+    EXPECT_EQ(json::escape(std::string(1, '\x01')), "\\u0001");
 }
 
 TEST(Exec, FromEnvStrictParsing)

@@ -114,6 +114,17 @@ TEST(JobMixTest, ParseRejectsGarbage)
     for (const char *cores : {"4097", "4294967296", "4294967297"})
         EXPECT_THROW(parseMixJson(head + cores + "}]", "t"), SimAbort)
             << cores;
+    // Strict JSON: numbers, escapes, separators, one array.
+    const std::string weight = "[{\"app\":\"T-AlexNet\",\"weight\":";
+    for (const char *w : {"+3", ".5", "1.", "1e999", "\"2\""})
+        EXPECT_THROW(parseMixJson(weight + w + "}]", "t"), SimAbort) << w;
+    EXPECT_DOUBLE_EQ(parseMixJson(weight + "0.5}]", "t").entries[0].weight,
+                     0.5);
+    for (const char *bad :
+         {"[{\"app\":\"T-AlexNet\"},]", "[{\"app\":\"T-\\u0141lexNet\"}]",
+          "[{\"app\":\"T-AlexNet\",\"app\":\"C-BFS\"}]",
+          "{\"app\":\"T-AlexNet\"}", "[]"})
+        EXPECT_THROW(parseMixJson(bad, "t"), SimAbort) << bad;
 }
 
 TEST(JobMixTest, AppListAndSampler)
@@ -153,6 +164,19 @@ TEST(JobTraceTest, ParseAndValidate)
                                "\"cores\":4294967298}\n",
                                "t"),
                  SimAbort); // would wrap to 2 cores
+    // JSONL: one object per non-blank line, integer cycles.
+    EXPECT_EQ(parseJobTrace("\n{\"cycle\":0,\"app\":\"T-AlexNet\"}\n \n",
+                            "t")
+                  .size(),
+              1u);
+    for (const char *bad :
+         {"{\"cycle\":0,\"app\":\"T-AlexNet\"} {\"cycle\":1,"
+          "\"app\":\"C-BFS\"}\n",
+          "{\"cycle\":0,\n\"app\":\"T-AlexNet\"}\n",
+          "{\"cycle\":1e3,\"app\":\"T-AlexNet\"}\n",
+          "{\"cycle\":1000000000000000001,\"app\":\"T-AlexNet\"}\n",
+          "[{\"cycle\":0,\"app\":\"T-AlexNet\"}]\n"})
+        EXPECT_THROW(parseJobTrace(bad, "t"), SimAbort) << bad;
 }
 
 // ---------------------------------------------------------------- catalog

@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -35,6 +34,7 @@
 
 #include "common/env.hh"
 #include "common/log.hh"
+#include "exec/atomic_file.hh"
 #include "exec/exit_codes.hh"
 
 using namespace dcl1;
@@ -110,18 +110,6 @@ int
 run(const std::vector<std::string> &args)
 {
     return await(spawn(args));
-}
-
-std::string
-readWhole(const std::string &path)
-{
-    std::ifstream in(path);
-    std::string text;
-    for (std::string line; std::getline(in, line);) {
-        text += line;
-        text += '\n';
-    }
-    return text;
 }
 
 } // anonymous namespace
@@ -235,9 +223,9 @@ main(int argc, char **argv)
         if (ref_status != exec::kExitOk)
             fatal("dcl1fleet: --verify reference run exited %d",
                   ref_status);
-        const std::string merged = readWhole(out_path);
-        const std::string reference = readWhole(ref_path);
-        if (merged.empty() || merged != reference) {
+        const auto merged = exec::readFileText(out_path);
+        if (!merged || merged->empty() ||
+            merged != exec::readFileText(ref_path)) {
             std::fprintf(stderr,
                          "[fleet] VERIFY FAILED: '%s' differs from "
                          "the single-process reference '%s'\n",

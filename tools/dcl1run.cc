@@ -363,16 +363,8 @@ main(int argc, char **argv)
         design.name + "/" + (o.trace.empty() ? o.app : o.trace);
     // Crash-diagnostic cooperation (see exec/crash_record.hh): the
     // replayable configuration up front, the machine state on death.
-    const std::string crash_cfg = csprintf(
-        "\"design\":\"%s\",\"%s\":\"%s\",\"cores\":%u,\"slices\":%u,"
-        "\"channels\":%u,\"seed\":%llu,\"measure\":%llu,\"warmup\":%llu",
-        exec::jsonEscape(design.name).c_str(),
-        o.trace.empty() ? "app" : "trace",
-        exec::jsonEscape(o.trace.empty() ? o.app : o.trace).c_str(),
-        o.cores, o.slices, o.channels,
-        static_cast<unsigned long long>(o.seed),
-        static_cast<unsigned long long>(o.cycles),
-        static_cast<unsigned long long>(o.warmup));
+    const std::string crash_cfg = exec::crashConfigJson(
+        design.name, o.app, o.trace, sys, o.cycles, o.warmup);
     specs[0].fn = [&](exec::JobContext &ctx) {
         ctx.setCrashContext(crash_cfg);
         try {
