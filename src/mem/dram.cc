@@ -121,7 +121,9 @@ DramChannel::tick(Cycle now)
         // Write-through from an L1/DC-L1: ACK when the data lands.
         req->isReply = true;
         req->payloadBytes = 0;
-        inService_.emplace_back(done, std::move(req));
+        // inService_ is a bounded in-flight worklist; a MemRequest
+        // arena would remove its allocations.
+        inService_.emplace_back(done, std::move(req)); // lint: alloc-ok
         return;
     }
 
@@ -129,7 +131,7 @@ DramChannel::tick(Cycle now)
     req->isReply = true;
     req->payloadBytes =
         req->isFetch() ? defaultLineBytes : req->bytes;
-    inService_.emplace_back(done, std::move(req));
+    inService_.emplace_back(done, std::move(req)); // lint: alloc-ok
 }
 
 std::optional<MemRequestPtr>

@@ -5,9 +5,7 @@ A small analyzer framework that replaces the historical regex script
 trustworthy — comments and string literals are lexed into separate
 channels, function bodies are tracked by brace scope, and the include
 graph is checked against the architecture layering — while staying
-dependency-free: when the python libclang binding is available it is
-used for exact function extents, otherwise a built-in tokenizer
-provides the same interface.
+dependency-free: a built-in tokenizer recovers function extents.
 
 Entry points:
   python3 tools/dcl1lint [paths...]      # lint the tree

@@ -1,6 +1,6 @@
 """Command-line front end for dcl1lint.
 
-Exit codes: 0 clean (warnings allowed), 1 new error findings,
+Exit codes: 0 clean (warnings allowed), 1 error findings,
 2 analyzer misconfiguration.
 """
 
@@ -8,7 +8,6 @@ import argparse
 import pathlib
 import sys
 
-import baseline as baseline_mod
 import engine
 import rules as rules_mod
 import sarif as sarif_mod
@@ -53,26 +52,9 @@ def main(argv=None):
                     default=_default_root(),
                     help="repository root (default: two levels above "
                          "this package)")
-    ap.add_argument("--baseline", type=pathlib.Path, default=None,
-                    help="baseline file (default: "
-                         "tools/dcl1lint/baseline.json under --root)")
-    ap.add_argument("--no-baseline", action="store_true",
-                    help="ignore the baseline: every finding is new")
-    ap.add_argument("--update-baseline", action="store_true",
-                    help="rewrite the baseline to accept the current "
-                         "findings, then exit 0")
     ap.add_argument("--sarif", metavar="FILE",
                     help="write a SARIF 2.1.0 log to FILE ('-' for "
                          "stdout)")
-    ap.add_argument("--backend",
-                    choices=("auto", "tokenizer", "libclang"),
-                    default="auto",
-                    help="function-extent backend (auto: libclang "
-                         "when importable, else tokenizer)")
-    ap.add_argument("--compile-commands", type=pathlib.Path,
-                    default=None,
-                    help="compile_commands.json for the libclang "
-                         "backend (default: build/ under --root)")
     ap.add_argument("--list-rules", action="store_true",
                     help="print the rule reference and exit")
     args = ap.parse_args(argv)
@@ -82,68 +64,35 @@ def main(argv=None):
         return 0
 
     root = args.root.resolve()
-    baseline_path = (args.baseline if args.baseline is not None
-                     else root / "tools" / "dcl1lint" / "baseline.json")
-
     try:
-        findings, models, backend_used = engine.run(
-            root, paths=args.paths, backend=args.backend,
-            compile_commands=args.compile_commands)
+        findings, models = engine.run(root, paths=args.paths)
     except engine.LintError as e:
         print(f"dcl1lint: {e}", file=sys.stderr)
         return 2
 
     errors = [f for f in findings if f.severity == "error"]
     warnings = [f for f in findings if f.severity == "warning"]
-
-    if args.update_baseline:
-        baseline_mod.write(baseline_path, errors)
-        print(f"dcl1lint: baseline updated with {len(errors)} "
-              f"finding(s) -> {baseline_path}")
-        new_errors, stale_entries = [], []
-    elif args.no_baseline:
-        new_errors, stale_entries = errors, []
-    else:
-        try:
-            entries = baseline_mod.load(baseline_path)
-        except (ValueError, KeyError) as e:
-            print(f"dcl1lint: bad baseline: {e}", file=sys.stderr)
-            return 2
-        new_errors, stale_entries = baseline_mod.apply(errors, entries)
-
-    for f in new_errors:
+    for f in errors:
         print(f"{f.path}:{f.line}: [{f.rule_id}/{f.rule_name}] "
               f"{f.message}")
     for f in warnings:
         print(f"{f.path}:{f.line}: warning: [{f.rule_id}/"
               f"{f.rule_name}] {f.message}")
-    for rule, path, snippet, count in stale_entries:
-        print(f"{path}: warning: [baseline] {count} stale {rule} "
-              f"entr{'y' if count == 1 else 'ies'} no longer "
-              f"match(es) `{snippet}` — run --update-baseline")
 
     if args.sarif:
-        import rules
         text = sarif_mod.render(
-            findings, rules.rule_metadata(),
+            findings, rules_mod.rule_metadata(),
             tool_version=_tool_version())
         if args.sarif == "-":
             sys.stdout.write(text)
         else:
             pathlib.Path(args.sarif).write_text(text, encoding="utf-8")
 
-    if args.update_baseline:
-        return 0
-    if new_errors:
-        print(f"dcl1lint: {len(new_errors)} violation(s)")
+    if errors:
+        print(f"dcl1lint: {len(errors)} violation(s)")
         return 1
-    baselined = len(errors) - len(new_errors)
-    extras = [f"backend={backend_used}"]
-    if baselined:
-        extras.insert(0, f"{baselined} baselined")
-    if warnings:
-        extras.insert(0, f"{len(warnings)} warning(s)")
-    print(f"dcl1lint: OK ({len(models)} files, {', '.join(extras)})")
+    extra = f", {len(warnings)} warning(s)" if warnings else ""
+    print(f"dcl1lint: OK ({len(models)} files{extra})")
     return 0
 
 

@@ -24,7 +24,6 @@ class Finding:
     message: str
     severity: str = "error"  # "error" | "warning"
     snippet: str = ""
-    baseline_state: str = "new"  # "new" | "unchanged" (set by baseline)
 
 
 class Context:

@@ -1,10 +1,5 @@
-"""SARIF 2.1.0 export for code-scanning upload.
-
-One run, one result per finding. Baseline-matched findings are still
-exported (with baselineState "unchanged" and an external suppression)
-so the scanning UI shows accepted debt instead of hiding it; new
-findings carry baselineState "new".
-"""
+"""SARIF 2.1.0 export for code-scanning upload: one run, one result
+per finding."""
 
 import json
 
@@ -46,13 +41,7 @@ def _result(finding):
                 "region": {"startLine": max(1, finding.line)},
             },
         }],
-        "baselineState": finding.baseline_state,
     }
-    if finding.baseline_state == "unchanged":
-        result["suppressions"] = [{
-            "kind": "external",
-            "justification": "accepted in tools/dcl1lint/baseline.json",
-        }]
     if finding.snippet:
         loc = result["locations"][0]["physicalLocation"]
         loc["region"]["snippet"] = {"text": finding.snippet}

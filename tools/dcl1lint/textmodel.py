@@ -14,9 +14,7 @@ trigger a rule. Here every file is lexed once into separate channels:
               literal starts (rule R4 reads stat names from this)
 
 On top of the code channel a brace-scope pass recovers function spans
-(name + line extent) for the hot-path purity rule. The libclang backend
-(clang_backend.py) can replace those spans with exact AST extents; the
-rules consume the same FileModel either way.
+(name + line extent) for the hot-path purity rule.
 """
 
 import re
@@ -70,7 +68,6 @@ class FileModel:
     includes: list = field(default_factory=list)  # (line, "mem/foo.hh")
     suppressions: list = field(default_factory=list)
     functions: list = field(default_factory=list)  # FuncSpan
-    backend: str = "tokenizer"
 
     def suppressed(self, token, line):
         """True (and mark used) if @p token is annotated on @p line or
