@@ -4,11 +4,11 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "check/check.hh"
 #include "common/env.hh"
+#include "common/flags.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "exec/atomic_file.hh"
@@ -19,22 +19,6 @@
 
 namespace dcl1::bench
 {
-
-namespace
-{
-
-std::vector<std::string>
-split(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, sep))
-        out.push_back(item);
-    return out;
-}
-
-} // anonymous namespace
 
 Harness::Harness(const std::string &title, const std::string &what)
     : opts_(core::ExperimentOptions::fromEnv())
@@ -151,7 +135,7 @@ Harness::apps(bool sensitive_only, bool insensitive_only)
     std::vector<workload::AppInfo> out;
     std::vector<std::string> filter;
     if (const std::string f = envStrOr("DCL1_APPS", ""); !f.empty())
-        filter = split(f, ',');
+        filter = parseList("DCL1_APPS", f);
 
     for (const auto &app : workload::appCatalog()) {
         if (sensitive_only && !app.replicationSensitive)

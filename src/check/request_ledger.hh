@@ -74,7 +74,6 @@ class RequestLedger
 
     /** Master switch; when false every call is a no-op. */
     bool enabled() const { return enabled_; }
-    void setEnabled(bool on) { enabled_ = on; }
 
     /**
      * When armed, destroying a non-retired tracked request panics.
@@ -82,7 +81,6 @@ class RequestLedger
      * teardown of a half-finished simulation is legitimate.
      */
     void setStrictDestroy(bool on) { strictDestroy_ = on; }
-    bool strictDestroy() const { return strictDestroy_; }
 
     /**
      * Register @p req, assigning its ledger sequence number.
@@ -154,7 +152,7 @@ class RequestLedger
     void record(std::uint8_t kind, std::uint64_t seq, std::uint64_t addr,
                 ReqStage from, ReqStage to);
 
-    bool enabled_ = DCL1_CHECK_ENABLED != 0;
+    const bool enabled_ = DCL1_CHECK_ENABLED != 0;
     bool strictDestroy_ = false;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t registered_ = 0;

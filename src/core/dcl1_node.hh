@@ -66,7 +66,6 @@ class DcL1Node
     /** In-flight work (for drain checks)? */
     bool busy() const;
 
-    NodeId nodeId() const { return nodeId_; }
     mem::CacheBank &cache() { return *cache_; }
     const mem::CacheBank &cache() const { return *cache_; }
 

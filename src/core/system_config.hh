@@ -21,6 +21,12 @@
 namespace dcl1::core
 {
 
+/**
+ * The most cores, L2 slices or DRAM channels any front door accepts
+ * (flags, crash records, job mixes); the least is 1.
+ */
+inline constexpr std::uint32_t kMaxPlatformUnits = 4096;
+
 /** See file comment. */
 struct SystemConfig
 {

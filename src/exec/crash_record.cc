@@ -161,11 +161,12 @@ loadCrashRecord(const std::string &path)
         return static_cast<std::uint64_t>(parseEnvInt(
             name.c_str(), v->text.c_str(), min_value, max_value));
     };
-    cfg.cores = static_cast<std::uint32_t>(num("cores", cfg.cores, 1, 4096));
+    constexpr std::int64_t units = core::kMaxPlatformUnits;
+    cfg.cores = static_cast<std::uint32_t>(num("cores", cfg.cores, 1, units));
     cfg.slices =
-        static_cast<std::uint32_t>(num("slices", cfg.slices, 1, 4096));
+        static_cast<std::uint32_t>(num("slices", cfg.slices, 1, units));
     cfg.channels =
-        static_cast<std::uint32_t>(num("channels", cfg.channels, 1, 4096));
+        static_cast<std::uint32_t>(num("channels", cfg.channels, 1, units));
     cfg.seed = num("seed", cfg.seed, 0, max);
     cfg.measure = num("measure", cfg.measure, 1, max);
     cfg.warmup = num("warmup", cfg.warmup, 0, max);

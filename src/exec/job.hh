@@ -59,6 +59,9 @@ struct ExecOptions
     /** Worker count; 0 = one per hardware thread. */
     unsigned jobs = 0;
 
+    /** The most workers DCL1_JOBS or a --jobs flag accepts. */
+    static constexpr unsigned kMaxJobs = 4096;
+
     /**
      * When non-empty, every job that ends failed writes a structured
      * crash record to "<crashDir>/<job>.json" (config, last cycle,

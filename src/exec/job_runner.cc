@@ -72,7 +72,7 @@ ExecOptions::fromEnv()
 {
     ExecOptions opts;
     opts.jobs = static_cast<unsigned>(
-        envIntOr("DCL1_JOBS", 0, /*min_value=*/0, /*max_value=*/4096));
+        envIntOr("DCL1_JOBS", 0, /*min_value=*/0, kMaxJobs));
     opts.crashDir = envStrOr("DCL1_CRASH_DIR", opts.crashDir);
     opts.jsonlPath = envStrOr("DCL1_JOBS_LOG", opts.jsonlPath);
     opts.profile = envIsSet("DCL1_PROF");

@@ -108,14 +108,4 @@ JobSet::setTimelineDir(std::string dir, Cycle interval)
     timelineInterval_ = interval;
 }
 
-std::size_t
-JobSet::add(std::string label, JobFn fn)
-{
-    JobSpec spec;
-    spec.label = std::move(label);
-    spec.fn = std::move(fn);
-    specs_.push_back(std::move(spec));
-    return specs_.size() - 1;
-}
-
 } // namespace dcl1::exec

@@ -63,9 +63,6 @@ class JobSet
                         const core::ExperimentOptions &opts,
                         const std::string &key_suffix = "");
 
-    /** Add an arbitrary job (no memoization). Returns its index. */
-    std::size_t add(std::string label, JobFn fn);
-
     /**
      * Emit a per-cell cycle-interval timeline for every cell added
      * *after* this call: "<dir>/job<index>-<label>.jsonl", written

@@ -212,22 +212,8 @@ void
 LiteCore::pumpL1(Cycle now)
 {
     // Completions: hits, filled misses, write ACKs.
-    while (auto done = l1_->takeCompleted(now)) {
-        mem::MemRequestPtr req = std::move(*done);
-        DCL1_CHECK_ONLY(check::ledger().onRetire(*req));
-        if (req->isWrite()) {
-            if (outstandingWrites_ == 0)
-                panic("core %u: write ACK underflow", params_.id);
-            --outstandingWrites_;
-            continue;
-        }
-        if (tlm_)
-            tlm_->onRetire(req->tlm, now);
-        readLatencySum_ += now - req->createdAt;
-        preServiceSum_ += req->l1ServiceAt - req->createdAt;
-        ++readsCompleted_;
-        wakeWarp(req->warp);
-    }
+    while (auto done = l1_->takeCompleted(now))
+        retire(**done, now);
 
     // Misses / write-throughs head to the interconnect.
     while (l1_->hasDownstream() && outbound_.canPush()) {
@@ -285,20 +271,28 @@ LiteCore::deliverReply(mem::MemRequestPtr reply, Cycle now)
         return;
     }
 
-    DCL1_CHECK_ONLY(check::ledger().onRetire(*reply));
-    if (reply->isWrite()) {
+    retire(*reply, now);
+}
+
+void
+LiteCore::retire(mem::MemRequest &req, Cycle now)
+{
+    DCL1_CHECK_ONLY(check::ledger().onRetire(req));
+    if (req.isWrite()) {
         if (outstandingWrites_ == 0)
             panic("core %u: write ACK underflow", params_.id);
         --outstandingWrites_;
         return;
     }
     if (tlm_)
-        tlm_->onRetire(reply->tlm, now);
-    readLatencySum_ += now - reply->createdAt;
-    if (reply->l1ServiceAt >= reply->createdAt)
-        preServiceSum_ += reply->l1ServiceAt - reply->createdAt;
+        tlm_->onRetire(req.tlm, now);
+    readLatencySum_ += now - req.createdAt;
+    // DC-L1 bypass and atomic replies never pass an L1 and leave
+    // l1ServiceAt unset.
+    if (req.l1ServiceAt >= req.createdAt)
+        preServiceSum_ += req.l1ServiceAt - req.createdAt;
     ++readsCompleted_;
-    wakeWarp(reply->warp);
+    wakeWarp(req.warp);
 }
 
 bool

@@ -95,9 +95,6 @@ class LiteCore
     /** Detach the stream from a drained core (panic()s if busy). */
     void unbindSource();
 
-    bool hasSource() const { return source_ != nullptr; }
-    bool sourceClosed() const { return sourceClosed_; }
-
     /**
      * Instructions issued since the last bindSource() (or since
      * construction). Unlike the instructions stat this is never reset
@@ -146,10 +143,6 @@ class LiteCore
     }
     /** Mean core->reply round-trip latency of read-class requests. */
     double avgReadLatency() const;
-    std::size_t lsuSize() const { return lsu_.size(); }
-    std::size_t outboundSize() const { return outbound_.size(); }
-    std::size_t readyWarpCount() const { return readyWarps_.size(); }
-    std::uint64_t outstandingReads() const { return outstandingReads_; }
     std::uint64_t readLatencySum() const { return readLatencySum_.value(); }
     std::uint64_t readsCompleted() const { return readsCompleted_.value(); }
     /** Mean cycles from coalescer to first (DC-)L1 service. */
@@ -165,6 +158,8 @@ class LiteCore
     void issue(Cycle now);
     void drainLsu(Cycle now);
     void pumpL1(Cycle now);
+    /** Account a completed request: write ACK, or read reply. */
+    void retire(mem::MemRequest &req, Cycle now);
     void wakeWarp(WarpId warp);
 
     struct WarpCtx

@@ -144,9 +144,7 @@ class CacheBank
     std::uint64_t mshrMerges() const { return mshrMerges_.value(); }
     std::uint64_t blockedEvents() const { return blocked_.value(); }
     std::uint64_t writebacks() const { return writebacks_.value(); }
-    std::size_t completedBacklog() const { return completed_.size(); }
     std::size_t mshrInUse() const { return mshr_.inUse(); }
-    std::size_t downstreamSize() const { return downstream_.size(); }
     /// @}
 
   private:

@@ -78,20 +78,8 @@ class DramChannel
     std::uint64_t writes() const { return writes_.value(); }
     std::uint64_t rowHits() const { return rowHits_.value(); }
     std::uint64_t rowMisses() const { return rowMisses_.value(); }
-    std::uint64_t busBusyCycles() const { return busBusy_.value(); }
     std::size_t queueSize() const { return queue_.size(); }
     std::size_t inServiceSize() const { return inService_.size(); }
-    Cycle busFreeAt() const { return busFreeAt_; }
-    /** Number of banks with readyAt > now. */
-    std::uint32_t
-    busyBanks(Cycle now) const
-    {
-        std::uint32_t n = 0;
-        for (const auto &b : banks_)
-            if (b.readyAt > now)
-                ++n;
-        return n;
-    }
     /// @}
 
   private:

@@ -55,7 +55,6 @@ class L2Slice
 
     CacheBank &bank() { return bank_; }
     const CacheBank &bank() const { return bank_; }
-    SliceId sliceId() const { return sliceId_; }
 
   private:
     SliceId sliceId_;

@@ -60,7 +60,6 @@ class Mshr
     std::vector<MemRequestPtr> completeFetch(LineAddr line);
 
     bool full() const { return entries_.size() >= numEntries_; }
-    std::uint32_t numEntries() const { return numEntries_; }
     std::size_t inUse() const { return entries_.size(); }
 
   private:

@@ -99,7 +99,6 @@ struct MemRequest
 
     bool isFetch() const { return fetchDepth > 0; }
 
-    bool isRead() const { return op == MemOp::Read; }
     bool isWrite() const { return op == MemOp::Write; }
     bool isAtomic() const { return op == MemOp::Atomic; }
     bool isBypass() const { return op == MemOp::Bypass; }

@@ -8,11 +8,12 @@ namespace dcl1::serve
 {
 
 PoissonArrivals::PoissonArrivals(double jobsPerKcycle, std::uint64_t seed)
-    : rate_(jobsPerKcycle), meanGap_(0.0), rng_(seed)
+    : meanGap_(1000.0 / jobsPerKcycle), rng_(seed)
 {
-    if (!(jobsPerKcycle > 0.0))
-        fatal("Poisson arrival rate must be > 0 (got %f)", jobsPerKcycle);
-    meanGap_ = 1000.0 / rate_;
+    // Also refuses a rate so small that the mean gap overflows.
+    if (!(meanGap_ > 0.0) || !std::isfinite(meanGap_))
+        fatal("Poisson arrival rate must be finite and > 0 (got %g)",
+              jobsPerKcycle);
 }
 
 Cycle
@@ -25,26 +26,11 @@ PoissonArrivals::nextGap()
     const double rounded = std::floor(gap + 0.5);
     if (rounded < 1.0)
         return 1;
+    // 2^64 is one past the last Cycle; converting it or more is
+    // undefined.
+    if (rounded >= 0x1p64)
+        return cycleNever;
     return static_cast<Cycle>(rounded);
-}
-
-FixedArrivals::FixedArrivals(std::vector<Cycle> gaps)
-    : gaps_(std::move(gaps))
-{
-    if (gaps_.empty())
-        fatal("FixedArrivals needs at least one gap");
-    for (auto &g : gaps_)
-        if (g == 0)
-            g = 1;
-}
-
-Cycle
-FixedArrivals::nextGap()
-{
-    const Cycle g = gaps_[next_];
-    if (next_ + 1 < gaps_.size())
-        ++next_;
-    return g;
 }
 
 } // namespace dcl1::serve

@@ -1,20 +1,19 @@
 /**
  * @file
- * Open-loop arrival processes for the serving layer.
+ * Open-loop arrivals for the serving layer.
  *
  * A serve run offers a stream of kernel jobs to the machine regardless
- * of whether it keeps up (open loop): arrival times come from one of
- * the processes here, never from completion feedback. All processes
- * are pure functions of their constructor arguments, so the same
- * (rate, seed) pair always yields the same schedule — the foundation
- * of the byte-identical job-log guarantee.
+ * of whether it keeps up (open loop): arrival times come from a job
+ * trace or from the Poisson process here, never from completion
+ * feedback. The process is a pure function of its constructor
+ * arguments, so the same (rate, seed) pair always yields the same
+ * schedule — the foundation of the byte-identical job-log guarantee.
  */
 
 #ifndef DCL1_SERVE_ARRIVAL_HH
 #define DCL1_SERVE_ARRIVAL_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/rng.hh"
 #include "common/types.hh"
@@ -22,52 +21,27 @@
 namespace dcl1::serve
 {
 
-/** Successive interarrival gaps, in core cycles (each >= 1). */
-class ArrivalProcess
-{
-  public:
-    virtual ~ArrivalProcess() = default;
-
-    /** Gap between the previous arrival and the next one. */
-    virtual Cycle nextGap() = 0;
-};
-
 /**
  * Poisson arrivals at @p jobsPerKcycle jobs per kilocycle:
  * exponential interarrival times via inverse-CDF sampling from a
  * seed-derived Rng, rounded to whole cycles with a floor of 1.
  */
-class PoissonArrivals : public ArrivalProcess
+class PoissonArrivals
 {
   public:
     PoissonArrivals(double jobsPerKcycle, std::uint64_t seed);
 
-    Cycle nextGap() override;
+    /**
+     * Gap between the previous arrival and the next one; cycleNever
+     * when the gap does not fit in a Cycle.
+     */
+    Cycle nextGap();
 
-    double ratePerKcycle() const { return rate_; }
     double meanGapCycles() const { return meanGap_; }
 
   private:
-    double rate_;
     double meanGap_;
     Rng rng_;
-};
-
-/**
- * Replays an explicit gap sequence (trace-driven load). Drawing past
- * the end repeats the final gap, so a short trace describes a periodic
- * tail instead of ending the stream.
- */
-class FixedArrivals : public ArrivalProcess
-{
-  public:
-    explicit FixedArrivals(std::vector<Cycle> gaps);
-
-    Cycle nextGap() override;
-
-  private:
-    std::vector<Cycle> gaps_;
-    std::size_t next_ = 0;
 };
 
 } // namespace dcl1::serve

@@ -3,8 +3,10 @@
 #include <optional>
 #include <sstream>
 
+#include "common/flags.hh"
 #include "common/json.hh"
 #include "common/log.hh"
+#include "core/system_config.hh"
 #include "exec/atomic_file.hh"
 #include "workload/app_catalog.hh"
 
@@ -45,8 +47,8 @@ readEntry(const json::Value &obj, const std::string &where,
             if (!v.get(entry.app))
                 fatal("%s: \"app\" must be a string", where.c_str());
         } else if (key == "cores") {
-            // At most what dcl1serve --cores accepts.
-            entry.cores = static_cast<std::uint32_t>(count(v, key, 4096));
+            entry.cores = static_cast<std::uint32_t>(
+                count(v, key, core::kMaxPlatformUnits));
         } else if (key == "budget") {
             entry.budget = count(v, key, kMaxCount);
         } else if (key == "weight" && !cycle) {
@@ -92,20 +94,10 @@ JobMix
 mixFromAppList(const std::string &csv)
 {
     JobMix mix;
-    std::size_t start = 0;
-    while (start <= csv.size()) {
-        std::size_t comma = csv.find(',', start);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        const std::string name = csv.substr(start, comma - start);
-        if (!name.empty()) {
-            workload::appByName(name);
-            mix.entries.push_back({name});
-        }
-        start = comma + 1;
+    for (const std::string &name : parseList("application list", csv)) {
+        workload::appByName(name);
+        mix.entries.push_back({name});
     }
-    if (mix.entries.empty())
-        fatal("empty application list");
     return mix;
 }
 

@@ -14,8 +14,8 @@
  *
  * weight defaults to 1; cores and budget default to 0, meaning "use
  * the serving default" (footprint-class-sized cores, the catalog's
- * nominal instruction budget). cores is at most 4096, as for
- * dcl1serve --cores. The trace file format is JSONL: one object per
+ * nominal instruction budget). cores is at most
+ * core::kMaxPlatformUnits, as for dcl1serve --cores. The trace file format is JSONL: one object per
  * non-blank line, one line per job, with a required "cycle"
  * (non-decreasing) plus the same optional fields except weight.
  *

@@ -116,6 +116,9 @@ ServeSim::ServeSim(const core::SystemConfig &sys,
         fatal("serve: no job mix and no job trace");
     if (opts_.horizon == 0)
         fatal("serve: horizon must be nonzero");
+    if (!(opts_.budgetScale > 0.0) || !std::isfinite(opts_.budgetScale))
+        fatal("serve: budget scale must be finite and > 0 (got %g)",
+              opts_.budgetScale);
     statGroup_.addScalar("jobs_offered", &statOffered_);
     statGroup_.addScalar("jobs_started", &statStarted_);
     statGroup_.addScalar("jobs_completed", &statCompleted_);
@@ -168,8 +171,7 @@ ServeSim::planArrivals()
                               ? budget
                               : workload::appByName(app).nominalInstrBudget;
         if (opts_.budgetScale != 1.0) {
-            const double scaled =
-                double(b) * std::max(0.0, opts_.budgetScale);
+            const double scaled = double(b) * opts_.budgetScale;
             b = scaled >= double(std::numeric_limits<std::uint64_t>::max())
                     ? std::numeric_limits<std::uint64_t>::max()
                     : static_cast<std::uint64_t>(scaled);
@@ -207,7 +209,10 @@ ServeSim::planArrivals()
     MixSampler sampler(mix_);
     Cycle t = 0;
     for (std::size_t i = 0; i < opts_.numJobs; ++i) {
-        t += arrivals.nextGap();
+        // Saturate: a job whose arrival does not fit never arrives,
+        // like one past the horizon.
+        const Cycle gap = arrivals.nextGap();
+        t = gap > cycleNever - t ? cycleNever : t + gap;
         const std::size_t e = sampler.draw(draw);
         const MixEntry &entry = mix_.entries[e];
         resolve(entry.app, entry.cores, entry.budget,

@@ -107,7 +107,6 @@ class LatencyAttribution
         return segDists_[static_cast<std::size_t>(s)];
     }
     const Distribution &total() const { return totalDist_; }
-    std::uint32_t sampleEvery() const { return sampleEvery_; }
 
     /** Human-readable latency-breakdown table (dcl1run headline). */
     void printBreakdown(std::ostream &os) const;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -63,16 +64,15 @@ TEST(Arrival, PoissonRejectsNonPositiveRate)
     SimErrorTrap trap;
     EXPECT_THROW(PoissonArrivals(0.0, 1), SimAbort);
     EXPECT_THROW(PoissonArrivals(-1.0, 1), SimAbort);
-}
-
-TEST(Arrival, FixedRepeatsLastGap)
-{
-    FixedArrivals f({5, 0, 7});
-    EXPECT_EQ(f.nextGap(), 5u);
-    EXPECT_EQ(f.nextGap(), 1u); // zero gaps clamp to one cycle
-    EXPECT_EQ(f.nextGap(), 7u);
-    EXPECT_EQ(f.nextGap(), 7u);
-    EXPECT_EQ(f.nextGap(), 7u);
+    EXPECT_THROW(PoissonArrivals(std::nan(""), 1), SimAbort);
+    EXPECT_THROW(PoissonArrivals(HUGE_VAL, 1), SimAbort);
+    // 1000 / 1e-320 overflows: the mean gap would be infinite.
+    EXPECT_THROW(PoissonArrivals(1e-320, 1), SimAbort);
+    // A finite rate whose gaps do not fit in a Cycle saturates: such a
+    // job never arrives, instead of an undefined conversion.
+    PoissonArrivals slow(1e-300, 1);
+    for (int i = 0; i < 100; ++i)
+        ASSERT_EQ(slow.nextGap(), cycleNever);
 }
 
 // --------------------------------------------------------------- mix/trace
@@ -422,6 +422,34 @@ TEST(ServeSim, TraceDrivenArrivals)
     // Both fit side by side: the second job must not wait for the
     // first (16 free cores remain).
     EXPECT_EQ(sim.outcomes()[1].queueDelay, 0u);
+}
+
+TEST(ServeSim, ArrivalsPastTheLastCycleNeverArrive)
+{
+    // Gaps of ~1e303 cycles: like jobs past the horizon, neither job
+    // is offered.
+    core::SystemConfig sys;
+    ServeOptions opts;
+    opts.lambdaJobsPerKcycle = 1e-300;
+    opts.numJobs = 2;
+    opts.horizon = 1000;
+    ServeSim sim(sys, core::baselineDesign(), smallMix(), opts);
+    const ServeSummary s = sim.run();
+    EXPECT_EQ(s.offered, 0u);
+    EXPECT_EQ(s.endCycle, opts.horizon);
+}
+
+TEST(ServeSim, RejectsNonPositiveBudgetScale)
+{
+    SimErrorTrap trap;
+    const core::SystemConfig sys;
+    for (const double scale : {std::nan(""), -3.0, 0.0, HUGE_VAL}) {
+        ServeOptions opts;
+        opts.budgetScale = scale;
+        EXPECT_THROW(ServeSim(sys, core::baselineDesign(), smallMix(), opts),
+                     SimAbort)
+            << scale;
+    }
 }
 
 } // anonymous namespace

@@ -33,6 +33,7 @@
 #include <unistd.h>
 
 #include "common/env.hh"
+#include "common/flags.hh"
 #include "common/log.hh"
 #include "exec/atomic_file.hh"
 #include "exec/exit_codes.hh"
@@ -41,31 +42,6 @@ using namespace dcl1;
 
 namespace
 {
-
-void
-printHelp()
-{
-    std::printf(
-        "dcl1fleet — spawn K dcl1sweep --worker processes on one "
-        "run directory,\nmerge (re-running crashed workers' cells), "
-        "verify\n"
-        "\n"
-        "  --workers=K        worker processes (default 4)\n"
-        "  --run-dir=DIR      shared durable run directory (required)\n"
-        "  --out=FILE         merged CSV (required; written by a final\n"
-        "                     --resume run after all workers exit)\n"
-        "  --sweep-bin=PATH   dcl1sweep binary (default: next to\n"
-        "                     dcl1fleet)\n"
-        "  --verify           also run a fresh single-process --jobs=1\n"
-        "                     sweep and require the merged CSV to be\n"
-        "                     byte-identical\n"
-        "\n"
-        "Unrecognized --flags are forwarded to every spawned dcl1sweep\n"
-        "(use them for --designs/--apps/--jobs/...).\n"
-        "\n"
-        "%s\n",
-        exec::kExitCodeContract);
-}
 
 /** Spawn @p args (argv[0] = binary path); returns the child pid. */
 pid_t
@@ -124,28 +100,29 @@ main(int argc, char **argv)
     bool verify = false;
     std::vector<std::string> forwarded;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a.rfind("--workers=", 0) == 0)
-            workers = static_cast<std::size_t>(parseEnvInt(
-                "--workers", a.substr(10).c_str(), 1, 1024));
-        else if (a.rfind("--run-dir=", 0) == 0)
-            run_dir = a.substr(10);
-        else if (a.rfind("--out=", 0) == 0)
-            out_path = a.substr(6);
-        else if (a.rfind("--sweep-bin=", 0) == 0)
-            sweep_bin = a.substr(12);
-        else if (a == "--verify")
-            verify = true;
-        else if (a == "--help" || a == "-h") {
-            printHelp();
-            return exec::kExitOk;
-        } else if (a.rfind("--", 0) == 0)
-            forwarded.push_back(a);
-        else
-            fatal("unknown argument '%s' (--help lists the options)",
-                  a.c_str());
-    }
+    FlagSet flags("dcl1fleet — spawn K dcl1sweep --worker processes on one "
+                  "run directory,\nmerge (re-running crashed workers' "
+                  "cells), verify",
+                  std::string("Unrecognized --flags are forwarded to every "
+                              "spawned dcl1sweep\n(use them for "
+                              "--designs/--apps/--jobs/...).\n\n") +
+                      exec::kExitCodeContract);
+    flags.add("--workers=K", "worker processes (default 4)", workers, 1,
+              1024);
+    flags.add("--run-dir=DIR", "shared durable run directory (required)",
+              run_dir);
+    flags.add("--out=FILE",
+              "merged CSV (required; written by a final --resume\n"
+              "run after all workers exit)",
+              out_path);
+    flags.add("--sweep-bin=PATH",
+              "dcl1sweep binary (default: next to dcl1fleet)", sweep_bin);
+    flags.add("--verify",
+              "also run a fresh single-process --jobs=1 sweep and\n"
+              "require the merged CSV to be byte-identical",
+              verify);
+    if (!flags.parse(argc, argv, &forwarded))
+        return exec::kExitOk;
     if (run_dir.empty())
         fatal("dcl1fleet: --run-dir=DIR is required (workers "
               "coordinate through it)");

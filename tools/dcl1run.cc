@@ -10,42 +10,9 @@
  *   dcl1run --list-apps
  *   dcl1run --list-designs
  *
- * Options:
- *   --design=NAME     Baseline | PrY | ShY | ShY+CZ[+Boost] | CDXBar*
- *   --app=NAME        application from the 28-app catalog
- *   --trace=FILE      replay a trace file instead of a catalog app
- *   --cycles=N        measured cycles        (default 30000)
- *   --warmup=N        warmup cycles          (default 40000)
- *   --cores=N --slices=N --channels=N        platform scaling
- *   --seed=N          workload seed
- *   --stats=FILE      dump the full statistics tree ('-' = stdout;
- *                     files are published atomically via tmp+rename)
- *   --stats-json[=F]  the same tree as one JSON document ('-'/default
- *                     = stdout)
- *   --timeline[=F]    cycle-interval timeline JSONL (default
- *                     timeline.jsonl); one row per interval
- *   --timeline-interval=N  sampling interval in cycles (default
- *                     DCL1_TIMELINE_INTERVAL, 1024)
- *   --latency[=N]     request-latency attribution, sampling 1 in N
- *                     reads (default 1); prints a latency-breakdown
- *                     table under the headline metrics
- *   --trace           Chrome trace-event export to trace.json
- *                     (--trace-out=FILE renames it); implies --latency
- *   --drain           drain in-flight traffic after the run and report
- *   --profile[=FILE]  host phase profiling (src/prof/): self/total
- *                     wall-time table on stderr; FILE gets the full
- *                     JSON report (atomic). DCL1_PROF=1 equivalent.
- *                     Combined with --trace, host phase slices ride
- *                     along in the Chrome trace.
- *   --jsonl=FILE      append a JSON run record (timing, outcome)
- *   --crash-dir=DIR   write a structured crash record on failure
- *                     (DCL1_CRASH_DIR)
- *   --replay-crash=FILE  re-run the exact configuration recorded in a
- *                     crash record written by a failed batch cell
- *   --help            usage + the exit-code contract
- *
- * Numeric flags are parsed strictly: "2k" or "abc" is a configuration
- * error (exit 1), never a silently truncated run.
+ * `dcl1run --help` lists every flag, declared once in flagsFor()
+ * below. Numeric flags are parsed strictly: "2k" or "abc" is a
+ * configuration error (exit 1), never a silently truncated run.
  *
  * The simulation executes as a single job of the src/exec engine: a
  * panic inside the model is reported as a failed run (exit 2) with
@@ -57,13 +24,12 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <optional>
 
 #include "common/env.hh"
+#include "common/flags.hh"
 #include "common/log.hh"
 #include "core/experiment.hh"
 #include "core/gpu_system.hh"
@@ -81,7 +47,6 @@ using namespace dcl1;
 namespace
 {
 
-/** --key=value parser; fatal() on unknown flags. */
 struct Options
 {
     std::string design = "Sh40+C10+Boost";
@@ -107,136 +72,71 @@ struct Options
     bool drain = false;
     bool listApps = false;
     bool listDesigns = false;
-    bool help = false;
 };
 
-constexpr std::int64_t kMaxInt = std::numeric_limits<std::int64_t>::max();
-/** Upper bound of --cores/--slices/--channels. */
-constexpr std::int64_t kMaxUnits = 4096;
-
-std::optional<std::string>
-valueOf(const char *arg, const char *key)
+/** Declares every flag of dcl1run, bound to @p o. */
+FlagSet
+flagsFor(Options &o)
 {
-    const std::size_t n = std::strlen(key);
-    if (std::strncmp(arg, key, n) == 0 && arg[n] == '=')
-        return std::string(arg + n + 1);
-    return std::nullopt;
-}
-
-Options
-parseArgs(int argc, char **argv)
-{
-    Options o;
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        if (auto v = valueOf(a, "--design"))
-            o.design = *v;
-        else if (auto v = valueOf(a, "--app"))
-            o.app = *v;
-        else if (auto v = valueOf(a, "--trace"))
-            o.trace = *v;
-        else if (auto v = valueOf(a, "--stats"))
-            o.statsFile = *v;
-        else if (std::strcmp(a, "--stats-json") == 0)
-            o.statsJsonFile = "-";
-        else if (auto v = valueOf(a, "--stats-json"))
-            o.statsJsonFile = *v;
-        else if (std::strcmp(a, "--timeline") == 0)
-            o.timelineFile = "timeline.jsonl";
-        else if (auto v = valueOf(a, "--timeline"))
-            o.timelineFile = *v;
-        else if (auto v = valueOf(a, "--timeline-interval"))
-            o.timelineInterval = static_cast<Cycle>(parseEnvInt(
-                "--timeline-interval", v->c_str(), 1, kMaxInt));
-        else if (std::strcmp(a, "--trace") == 0)
-            o.traceOutFile = "trace.json"; // bare: Chrome trace export
-        else if (auto v = valueOf(a, "--trace-out"))
-            o.traceOutFile = *v;
-        else if (std::strcmp(a, "--latency") == 0)
-            o.latencyEvery = 1;
-        else if (auto v = valueOf(a, "--latency"))
-            o.latencyEvery = static_cast<std::uint32_t>(parseEnvInt(
-                "--latency", v->c_str(), 1,
-                std::numeric_limits<std::uint32_t>::max()));
-        else if (auto v = valueOf(a, "--cycles"))
-            o.cycles = static_cast<Cycle>(
-                parseEnvInt("--cycles", v->c_str(), 1, kMaxInt));
-        else if (auto v = valueOf(a, "--warmup"))
-            o.warmup = static_cast<Cycle>(
-                parseEnvInt("--warmup", v->c_str(), 0, kMaxInt));
-        else if (auto v = valueOf(a, "--cores"))
-            o.cores = static_cast<std::uint32_t>(
-                parseEnvInt("--cores", v->c_str(), 1, kMaxUnits));
-        else if (auto v = valueOf(a, "--slices"))
-            o.slices = static_cast<std::uint32_t>(
-                parseEnvInt("--slices", v->c_str(), 1, kMaxUnits));
-        else if (auto v = valueOf(a, "--channels"))
-            o.channels = static_cast<std::uint32_t>(
-                parseEnvInt("--channels", v->c_str(), 1, kMaxUnits));
-        else if (auto v = valueOf(a, "--seed"))
-            o.seed = static_cast<std::uint64_t>(
-                parseEnvInt("--seed", v->c_str(), 0, kMaxInt));
-        else if (auto v = valueOf(a, "--jsonl"))
-            o.jsonlFile = *v;
-        else if (auto v = valueOf(a, "--crash-dir"))
-            o.crashDir = *v;
-        else if (auto v = valueOf(a, "--replay-crash"))
-            o.replayCrash = *v;
-        else if (std::strcmp(a, "--profile") == 0)
-            o.profile = true;
-        else if (auto v = valueOf(a, "--profile")) {
-            o.profile = true;
-            o.profileFile = *v;
-        } else if (std::strcmp(a, "--drain") == 0)
-            o.drain = true;
-        else if (std::strcmp(a, "--list-apps") == 0)
-            o.listApps = true;
-        else if (std::strcmp(a, "--list-designs") == 0)
-            o.listDesigns = true;
-        else if (std::strcmp(a, "--help") == 0 ||
-                 std::strcmp(a, "-h") == 0)
-            o.help = true;
-        else
-            fatal("unknown option '%s' (--help lists them)", a);
-    }
-    return o;
-}
-
-void
-printHelp()
-{
-    std::printf(
-        "dcl1run — run one (design, workload) simulation\n"
-        "\n"
-        "  --design=NAME     Baseline | PrY | ShY | ShY+CZ[+Boost] | "
-        "CDXBar*\n"
-        "  --app=NAME        application from the catalog "
-        "(--list-apps)\n"
-        "  --trace=FILE      replay a trace file instead\n"
-        "  --cycles=N --warmup=N          simulated interval\n"
-        "  --cores=N --slices=N --channels=N  platform scaling\n"
-        "  --seed=N          workload seed\n"
-        "  --stats=FILE      full statistics tree ('-' = stdout; "
-        "atomic)\n"
-        "  --stats-json[=F]  statistics tree as JSON ('-'/default = "
-        "stdout)\n"
-        "  --timeline[=F]    interval timeline JSONL "
-        "(timeline.jsonl)\n"
-        "  --timeline-interval=N  cycles per row "
-        "(DCL1_TIMELINE_INTERVAL)\n"
-        "  --latency[=N]     latency attribution, 1-in-N reads "
-        "(default 1)\n"
-        "  --trace           Chrome trace export to trace.json "
-        "(--trace-out=FILE)\n"
-        "  --drain           drain in-flight traffic and report\n"
-        "  --profile[=FILE]  host phase profile: table on stderr, "
-        "JSON to FILE\n"
-        "  --jsonl=FILE      append a JSON run record\n"
-        "  --crash-dir=DIR   crash record on failure (DCL1_CRASH_DIR)\n"
-        "  --replay-crash=FILE  re-run a recorded crash exactly\n"
-        "\n"
-        "%s\n",
-        exec::kExitCodeContract);
+    constexpr std::int64_t max = std::numeric_limits<std::int64_t>::max();
+    constexpr std::int64_t units = core::kMaxPlatformUnits;
+    FlagSet f("dcl1run — run one (design, workload) simulation",
+              exec::kExitCodeContract);
+    f.add("--design=NAME", "Baseline | PrY | ShY | ShY+CZ[+Boost] | CDXBar*",
+          o.design);
+    f.add("--app=NAME", "application from the catalog (--list-apps)",
+          o.app);
+    // Two meanings, kept for compatibility: a trace to replay, or the
+    // bare switch that exports a Chrome trace.
+    f.add("--trace[=FILE]",
+          "replay a trace file instead of a catalog app;\n"
+          "bare: --trace-out=trace.json",
+          [&o](const std::string *file) {
+              if (file)
+                  o.trace = *file;
+              else
+                  o.traceOutFile = "trace.json";
+          });
+    f.add("--trace-out=FILE",
+          "Chrome trace export to FILE (implies --latency)",
+          o.traceOutFile);
+    f.add("--cycles=N", "measured cycles (default 30000)", o.cycles, 1, max);
+    f.add("--warmup=N", "warmup cycles (default 40000)", o.warmup, 0, max);
+    f.add("--cores=N", "cores (default 80)", o.cores, 1, units);
+    f.add("--slices=N", "L2 slices (default 32)", o.slices, 1, units);
+    f.add("--channels=N", "DRAM channels (default 16)", o.channels, 1,
+          units);
+    f.add("--seed=N", "workload seed", o.seed, 0, max);
+    f.add("--stats=FILE", "full statistics tree ('-' = stdout; atomic)",
+          o.statsFile);
+    f.add("--stats-json[=F]",
+          "statistics tree as JSON ('-'/bare = stdout)", o.statsJsonFile,
+          "-");
+    f.add("--timeline[=F]", "interval timeline JSONL (bare: timeline.jsonl)",
+          o.timelineFile, "timeline.jsonl");
+    f.add("--timeline-interval=N",
+          "cycles per timeline row (DCL1_TIMELINE_INTERVAL)",
+          o.timelineInterval, 1, max);
+    f.add("--latency[=N]", "latency attribution, 1-in-N reads (bare: 1)",
+          o.latencyEvery, 1, std::numeric_limits<std::uint32_t>::max(),
+          "1");
+    f.add("--drain", "drain in-flight traffic and report", o.drain);
+    f.add("--profile[=FILE]",
+          "host phase profile: table on stderr, JSON to FILE\n"
+          "(DCL1_PROF)",
+          [&o](const std::string *file) {
+              o.profile = true;
+              if (file)
+                  o.profileFile = *file;
+          });
+    f.add("--jsonl=FILE", "append a JSON run record", o.jsonlFile);
+    f.add("--crash-dir=DIR", "crash record on failure (DCL1_CRASH_DIR)",
+          o.crashDir);
+    f.add("--replay-crash=FILE", "re-run a recorded crash exactly",
+          o.replayCrash);
+    f.add("--list-apps", "print the application catalog", o.listApps);
+    f.add("--list-designs", "print the design presets", o.listDesigns);
+    return f;
 }
 
 } // anonymous namespace
@@ -244,12 +144,9 @@ printHelp()
 int
 main(int argc, char **argv)
 {
-    Options o = parseArgs(argc, argv);
-
-    if (o.help) {
-        printHelp();
+    Options o;
+    if (!flagsFor(o).parse(argc, argv))
         return exec::kExitOk;
-    }
 
     if (!o.replayCrash.empty()) {
         // Forensic replay: rebuild exactly the cell the crash record

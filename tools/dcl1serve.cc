@@ -9,30 +9,8 @@
  *             --csv=sweep.csv
  *   dcl1serve --equivalence-check --app=T-AlexNet --design=Baseline
  *
- * Options:
- *   --apps=X          job mix: a .json mix file (array of
- *                     {"app","weight","cores","budget"} objects) or a
- *                     comma list of catalog apps (equal weights)
- *   --arrivals=FILE   trace-driven arrivals (JSONL of {"cycle","app"
- *                     [,"cores","budget"]}); disables --lambda
- *   --lambda=R[,R..]  offered load sweep, jobs per 1000 cycles
- *   --policy=P[,P..]  fcfs | sjf | rr
- *   --design=D[,D..]  design presets (see dcl1run --list-designs)
- *   --num-jobs=N      offered jobs per cell        (default 100)
- *   --horizon=N       hard cycle cap               (default 1000000)
- *   --seed=N          arrival/mix/job-stream seed  (default 1)
- *   --cores=N --slices=N --channels=N              platform scaling
- *   --default-cores=N cores per job when the mix doesn't say
- *                     (default: footprint-class sizing)
- *   --budget-scale=X  scale every job's instruction budget
- *   --job-log=FILE    per-job JSONL (single cell only)
- *   --job-log-dir=DIR per-job JSONL per cell, <design>_<policy>_<L>.jsonl
- *   --csv=FILE        summary CSV, one row per cell (atomic)
- *   --jobs=N          worker threads (default: hardware)
- *   --equivalence-check  verify one serve job granted every core
- *                     reproduces the classic path (--app, --design,
- *                     --cycles, --seed); exit 2 on digest mismatch
- *   --help            usage + the exit-code contract
+ * `dcl1serve --help` lists every flag, declared once in flagsFor()
+ * below.
  *
  * Determinism: the same flags and seed give byte-identical stdout,
  * CSV, and job logs for any --jobs value — job-log lines are emitted
@@ -41,13 +19,11 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <vector>
 
-#include "common/env.hh"
+#include "common/flags.hh"
 #include "common/log.hh"
 #include "core/experiment.hh"
 #include "core/gpu_system.hh"
@@ -68,9 +44,9 @@ struct Options
 {
     std::string apps = "T-AlexNet";
     std::string arrivalsFile;
-    std::string lambdas = "0.5";
-    std::string policies = "fcfs";
-    std::string designs = "Baseline";
+    std::vector<double> lambdas = {0.5};
+    std::vector<std::string> policies = {"fcfs"};
+    std::vector<std::string> designs = {"Baseline"};
     std::size_t numJobs = 100;
     Cycle horizon = 1'000'000;
     std::uint64_t seed = 1;
@@ -82,142 +58,62 @@ struct Options
     std::string jobLogFile;
     std::string jobLogDir;
     std::string csvFile;
-    std::size_t workers = 0;
+    unsigned workers = 0;
     bool equivalenceCheck = false;
     std::string eqApp = "T-AlexNet";
     Cycle eqCycles = 20000;
-    bool help = false;
 };
 
-std::optional<std::string>
-valueOf(const char *arg, const char *key)
+/** Declares every flag of dcl1serve, bound to @p o. */
+FlagSet
+flagsFor(Options &o)
 {
-    const std::size_t n = std::strlen(key);
-    if (std::strncmp(arg, key, n) == 0 && arg[n] == '=')
-        return std::string(arg + n + 1);
-    return std::nullopt;
-}
-
-double
-parseDouble(const char *flag, const std::string &text)
-{
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0')
-        fatal("%s: '%s' is not a number", flag, text.c_str());
-    return v;
-}
-
-std::vector<std::string>
-splitCsv(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= s.size()) {
-        std::size_t comma = s.find(',', start);
-        if (comma == std::string::npos)
-            comma = s.size();
-        if (comma > start)
-            out.push_back(s.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
-
-Options
-parseArgs(int argc, char **argv)
-{
-    Options o;
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        if (auto v = valueOf(a, "--apps"))
-            o.apps = *v;
-        else if (auto v = valueOf(a, "--arrivals"))
-            o.arrivalsFile = *v;
-        else if (auto v = valueOf(a, "--lambda"))
-            o.lambdas = *v;
-        else if (auto v = valueOf(a, "--policy"))
-            o.policies = *v;
-        else if (auto v = valueOf(a, "--design"))
-            o.designs = *v;
-        else if (auto v = valueOf(a, "--num-jobs"))
-            o.numJobs = static_cast<std::size_t>(parseEnvInt(
-                "--num-jobs", v->c_str(), 1, 1'000'000'000));
-        else if (auto v = valueOf(a, "--horizon"))
-            o.horizon = static_cast<Cycle>(parseEnvInt(
-                "--horizon", v->c_str(), 1,
-                std::numeric_limits<std::int64_t>::max()));
-        else if (auto v = valueOf(a, "--seed"))
-            o.seed = static_cast<std::uint64_t>(parseEnvInt(
-                "--seed", v->c_str(), 0,
-                std::numeric_limits<std::int64_t>::max()));
-        else if (auto v = valueOf(a, "--cores"))
-            o.cores = static_cast<std::uint32_t>(
-                parseEnvInt("--cores", v->c_str(), 1, 4096));
-        else if (auto v = valueOf(a, "--slices"))
-            o.slices = static_cast<std::uint32_t>(
-                parseEnvInt("--slices", v->c_str(), 1, 4096));
-        else if (auto v = valueOf(a, "--channels"))
-            o.channels = static_cast<std::uint32_t>(
-                parseEnvInt("--channels", v->c_str(), 1, 4096));
-        else if (auto v = valueOf(a, "--default-cores"))
-            o.defaultCores = static_cast<std::uint32_t>(parseEnvInt(
-                "--default-cores", v->c_str(), 1, 1'000'000));
-        else if (auto v = valueOf(a, "--budget-scale"))
-            o.budgetScale = parseDouble("--budget-scale", *v);
-        else if (auto v = valueOf(a, "--job-log"))
-            o.jobLogFile = *v;
-        else if (auto v = valueOf(a, "--job-log-dir"))
-            o.jobLogDir = *v;
-        else if (auto v = valueOf(a, "--csv"))
-            o.csvFile = *v;
-        else if (auto v = valueOf(a, "--jobs"))
-            o.workers = static_cast<std::size_t>(
-                parseEnvInt("--jobs", v->c_str(), 1, 4096));
-        else if (std::strcmp(a, "--equivalence-check") == 0)
-            o.equivalenceCheck = true;
-        else if (auto v = valueOf(a, "--app"))
-            o.eqApp = *v;
-        else if (auto v = valueOf(a, "--cycles"))
-            o.eqCycles = static_cast<Cycle>(parseEnvInt(
-                "--cycles", v->c_str(), 1,
-                std::numeric_limits<std::int64_t>::max()));
-        else if (std::strcmp(a, "--help") == 0 ||
-                 std::strcmp(a, "-h") == 0)
-            o.help = true;
-        else
-            fatal("unknown option '%s' (--help lists them)", a);
-    }
-    return o;
-}
-
-void
-printHelp()
-{
-    std::printf(
-        "dcl1serve — multi-tenant serving: open-loop job traffic, "
-        "tail latency\n"
-        "\n"
-        "  --apps=X          mix .json file or comma list of catalog "
-        "apps\n"
-        "  --arrivals=FILE   trace-driven arrivals JSONL (disables "
-        "--lambda)\n"
-        "  --lambda=R[,R..]  offered load, jobs per 1000 cycles\n"
-        "  --policy=P[,P..]  fcfs | sjf | rr\n"
-        "  --design=D[,D..]  design presets (dcl1run --list-designs)\n"
-        "  --num-jobs=N --horizon=N --seed=N      traffic shape\n"
-        "  --cores=N --slices=N --channels=N      platform scaling\n"
-        "  --default-cores=N --budget-scale=X     job sizing\n"
-        "  --job-log=FILE    per-job JSONL (single cell only)\n"
-        "  --job-log-dir=DIR per-job JSONL per cell\n"
-        "  --csv=FILE        summary CSV, one row per cell (atomic)\n"
-        "  --jobs=N          worker threads\n"
-        "  --equivalence-check  single-job serve == classic single-app\n"
-        "                    (--app=NAME --design=NAME --cycles=N "
-        "--seed=N)\n"
-        "\n"
-        "%s\n",
-        exec::kExitCodeContract);
+    constexpr std::int64_t max = std::numeric_limits<std::int64_t>::max();
+    constexpr std::int64_t units = core::kMaxPlatformUnits;
+    FlagSet f("dcl1serve — multi-tenant serving: open-loop job traffic, "
+              "tail latency",
+              exec::kExitCodeContract);
+    f.add("--apps=X", "mix .json file or comma list of catalog apps",
+          o.apps);
+    f.add("--arrivals=FILE", "trace-driven arrivals JSONL (disables --lambda)",
+          o.arrivalsFile);
+    f.add("--lambda=R[,R..]", "offered load, jobs per 1000 cycles",
+          o.lambdas);
+    f.add("--policy=P[,P..]", "fcfs | sjf | rr", o.policies);
+    f.add("--design=D[,D..]", "design presets (dcl1run --list-designs)",
+          o.designs);
+    f.add("--num-jobs=N", "offered jobs per cell (default 100)", o.numJobs,
+          1, 1'000'000'000);
+    f.add("--horizon=N", "hard cycle cap (default 1000000)", o.horizon, 1,
+          max);
+    f.add("--seed=N", "arrival/mix/job-stream seed", o.seed, 0, max);
+    f.add("--cores=N", "cores (default 80)", o.cores, 1, units);
+    f.add("--slices=N", "L2 slices (default 32)", o.slices, 1, units);
+    f.add("--channels=N", "DRAM channels (default 16)", o.channels, 1,
+          units);
+    f.add("--default-cores=N",
+          "cores per job when the mix does not say\n"
+          "(default: footprint-class sizing)",
+          o.defaultCores, 1, 1'000'000);
+    f.add("--budget-scale=X", "scale every job's instruction budget",
+          o.budgetScale);
+    f.add("--job-log=FILE", "per-job JSONL (single cell only)",
+          o.jobLogFile);
+    f.add("--job-log-dir=DIR",
+          "per-job JSONL per cell, <design>_<policy>_<L>.jsonl",
+          o.jobLogDir);
+    f.add("--csv=FILE", "summary CSV, one row per cell (atomic)",
+          o.csvFile);
+    f.add("--jobs=N", "worker threads (0 = one per hardware thread)",
+          o.workers, 0, exec::ExecOptions::kMaxJobs);
+    f.add("--equivalence-check",
+          "single-job serve == classic single-app path, per\n"
+          "--design; exit 2 on a digest mismatch",
+          o.equivalenceCheck);
+    f.add("--app=NAME", "--equivalence-check: the app", o.eqApp);
+    f.add("--cycles=N", "--equivalence-check: measured cycles", o.eqCycles,
+          1, max);
+    return f;
 }
 
 /** One (design, policy, lambda) point of the sweep. */
@@ -290,21 +186,17 @@ jobLogPathFor(const std::string &dir, const Cell &c)
 int
 main(int argc, char **argv)
 {
-    const Options o = parseArgs(argc, argv);
-
-    if (o.help) {
-        printHelp();
+    Options o;
+    if (!flagsFor(o).parse(argc, argv))
         return exec::kExitOk;
-    }
 
     core::SystemConfig sys =
         core::SystemConfig::scaled(o.cores, o.slices, o.channels);
     sys.seed = o.seed;
 
     if (o.equivalenceCheck) {
-        const std::vector<std::string> designs = splitCsv(o.designs);
         bool all_ok = true;
-        for (const std::string &dname : designs) {
+        for (const std::string &dname : o.designs) {
             const core::DesignConfig design = core::designByName(dname);
             const serve::EquivalenceReport rep =
                 serve::checkSingleJobEquivalence(sys, design, o.eqApp,
@@ -330,20 +222,13 @@ main(int argc, char **argv)
     if (!o.arrivalsFile.empty())
         trace = serve::loadJobTrace(o.arrivalsFile);
 
-    const std::vector<std::string> designs = splitCsv(o.designs);
-    const std::vector<std::string> policies = splitCsv(o.policies);
-    std::vector<double> lambdas;
-    if (trace.empty())
-        for (const std::string &l : splitCsv(o.lambdas))
-            lambdas.push_back(parseDouble("--lambda", l));
-    else
-        lambdas.push_back(0.0); // trace-driven: one load point
-    if (designs.empty() || policies.empty() || lambdas.empty())
-        fatal("need at least one design, policy, and lambda");
+    // Trace-driven arrivals are one load point.
+    const std::vector<double> lambdas =
+        trace.empty() ? o.lambdas : std::vector<double>{0.0};
 
     std::vector<Cell> cells;
-    for (const std::string &d : designs)
-        for (const std::string &p : policies)
+    for (const std::string &d : o.designs)
+        for (const std::string &p : o.policies)
             for (const double l : lambdas) {
                 Cell c;
                 c.design = d;

@@ -59,6 +59,7 @@
 #include <vector>
 
 #include "common/env.hh"
+#include "common/flags.hh"
 #include "common/log.hh"
 #include "core/experiment.hh"
 #include "exec/exit_codes.hh"
@@ -72,30 +73,6 @@ using namespace dcl1;
 
 namespace
 {
-
-std::vector<std::string>
-splitCsv(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-std::string
-joinCsv(const std::vector<std::string> &names)
-{
-    std::string out;
-    for (const auto &n : names) {
-        if (!out.empty())
-            out += ',';
-        out += n;
-    }
-    return out;
-}
 
 /**
  * Deterministic interrupt injection for the kill-and-resume tests and
@@ -121,50 +98,6 @@ class InterruptAfterSink : public exec::ResultSink
     std::size_t done_ = 0;
 };
 
-void
-printHelp()
-{
-    std::printf(
-        "dcl1sweep — parallel (design, app) grid runner -> CSV\n"
-        "\n"
-        "  --designs=A,B,..   designs (default: the paper's main 5)\n"
-        "  --apps=A,B,..      catalog apps (default: all 28)\n"
-        "  --out=FILE         CSV output ('-' = stdout; files are\n"
-        "                     published atomically via tmp+rename)\n"
-        "  --jobs=N           worker threads (DCL1_JOBS; 0 = #cores)\n"
-        "  --profile          host phase profiling (DCL1_PROF): "
-        "per-cell\n"
-        "                     trees in --jsonl records, aggregate "
-        "phase\n"
-        "                     shares on stderr; CSV is unchanged\n"
-        "  --run-dir=DIR      durable run directory (DCL1_RUN_DIR):\n"
-        "                     manifest + per-cell write-ahead log +\n"
-        "                     crash records; safe to re-run/resume\n"
-        "  --resume=DIR       like --run-dir, but requires DIR to hold\n"
-        "                     an existing manifest; completed cells are\n"
-        "                     skipped and the CSV comes out identical\n"
-        "                     to an uninterrupted run\n"
-        "  --crash-dir=DIR    crash records for failed cells\n"
-        "                     (DCL1_CRASH_DIR; default <run-dir>/crash)\n"
-        "  --jsonl=FILE       append per-job JSON records "
-        "(DCL1_JOBS_LOG)\n"
-        "  --timeline-dir[=DIR]  one timeline JSONL per cell (default\n"
-        "                     <run-dir>/timeline or ./timeline)\n"
-        "  --timeline-interval=N  cycles per timeline row\n"
-        "                     (DCL1_TIMELINE_INTERVAL)\n"
-        "  --interrupt-after=N  testing: inject SIGINT after N cells\n"
-        "\n"
-        "fleet mode (multi-process; see tools/dcl1fleet):\n"
-        "  --worker           one pass over --run-dir shared with other\n"
-        "                     worker processes: run each cell this\n"
-        "                     process claims first; write no CSV (merge\n"
-        "                     with a final --resume run, which also runs\n"
-        "                     cells a dead worker claimed)\n"
-        "\n"
-        "%s\n",
-        exec::kExitCodeContract);
-}
-
 } // anonymous namespace
 
 int
@@ -174,59 +107,74 @@ main(int argc, char **argv)
         "Baseline", "Pr40", "Sh40", "Sh40+C10", "Sh40+C10+Boost"};
     std::vector<std::string> app_names;
     std::string out_path = "-";
-    std::string run_dir;
+    exec::ExecOptions eopts = exec::ExecOptions::fromEnv();
+    std::string run_dir = envStrOr("DCL1_RUN_DIR", "");
     bool resume_only = false;
     std::size_t interrupt_after = 0;
     bool timeline_requested = false;
     std::string timeline_dir;
     Cycle timeline_interval = 0;
     bool worker_mode = false;
-    exec::ExecOptions eopts = exec::ExecOptions::fromEnv();
-    run_dir = envStrOr("DCL1_RUN_DIR", run_dir);
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a.rfind("--designs=", 0) == 0)
-            design_names = splitCsv(a.substr(10));
-        else if (a.rfind("--apps=", 0) == 0)
-            app_names = splitCsv(a.substr(7));
-        else if (a.rfind("--out=", 0) == 0)
-            out_path = a.substr(6);
-        else if (a.rfind("--jobs=", 0) == 0)
-            eopts.jobs = static_cast<unsigned>(parseEnvInt(
-                "--jobs", a.substr(7).c_str(), 0, 4096));
-        else if (a.rfind("--run-dir=", 0) == 0)
-            run_dir = a.substr(10);
-        else if (a.rfind("--resume=", 0) == 0) {
-            run_dir = a.substr(9);
-            resume_only = true;
-        } else if (a.rfind("--crash-dir=", 0) == 0)
-            eopts.crashDir = a.substr(12);
-        else if (a.rfind("--jsonl=", 0) == 0)
-            eopts.jsonlPath = a.substr(8);
-        else if (a == "--timeline-dir")
-            timeline_requested = true;
-        else if (a.rfind("--timeline-dir=", 0) == 0) {
-            timeline_dir = a.substr(15);
-            timeline_requested = true;
-        } else if (a.rfind("--timeline-interval=", 0) == 0)
-            timeline_interval = static_cast<Cycle>(parseEnvInt(
-                "--timeline-interval", a.substr(20).c_str(), 1,
-                std::numeric_limits<std::int64_t>::max()));
-        else if (a.rfind("--interrupt-after=", 0) == 0)
-            interrupt_after = static_cast<std::size_t>(parseEnvInt(
-                "--interrupt-after", a.substr(18).c_str(), 1,
-                std::numeric_limits<std::int64_t>::max()));
-        else if (a == "--profile")
-            eopts.profile = true;
-        else if (a == "--worker")
-            worker_mode = true;
-        else if (a == "--help" || a == "-h") {
-            printHelp();
-            return exec::kExitOk;
-        } else
-            fatal("unknown option '%s' (--help lists them)", a.c_str());
-    }
+    constexpr std::int64_t max = std::numeric_limits<std::int64_t>::max();
+    FlagSet flags("dcl1sweep — parallel (design, app) grid runner -> CSV",
+                  exec::kExitCodeContract);
+    flags.add("--designs=A,B,..", "designs (default: the paper's main 5)",
+              design_names);
+    flags.add("--apps=A,B,..", "catalog apps (default: all 28)", app_names);
+    flags.add("--out=FILE",
+              "CSV output ('-' = stdout; files are published\n"
+              "atomically via tmp+rename)",
+              out_path);
+    flags.add("--jobs=N", "worker threads (DCL1_JOBS; 0 = #cores)",
+              eopts.jobs, 0, exec::ExecOptions::kMaxJobs);
+    flags.add("--profile",
+              "host phase profiling (DCL1_PROF): per-cell trees in\n"
+              "--jsonl records, aggregate phase shares on stderr;\n"
+              "CSV is unchanged",
+              eopts.profile);
+    flags.add("--run-dir=DIR",
+              "durable run directory (DCL1_RUN_DIR): manifest +\n"
+              "per-cell write-ahead log + crash records; safe to\n"
+              "re-run/resume",
+              run_dir);
+    flags.add("--resume=DIR",
+              "like --run-dir, but requires DIR to hold an existing\n"
+              "manifest; completed cells are skipped and the CSV\n"
+              "comes out identical to an uninterrupted run",
+              [&](const std::string *dir) {
+                  run_dir = *dir;
+                  resume_only = true;
+              });
+    flags.add("--crash-dir=DIR",
+              "crash records for failed cells (DCL1_CRASH_DIR;\n"
+              "default <run-dir>/crash)",
+              eopts.crashDir);
+    flags.add("--jsonl=FILE", "append per-job JSON records (DCL1_JOBS_LOG)",
+              eopts.jsonlPath);
+    flags.add("--timeline-dir[=DIR]",
+              "one timeline JSONL per cell (default\n"
+              "<run-dir>/timeline or ./timeline)",
+              [&](const std::string *dir) {
+                  timeline_requested = true;
+                  if (dir)
+                      timeline_dir = *dir;
+              });
+    flags.add("--timeline-interval=N",
+              "cycles per timeline row (DCL1_TIMELINE_INTERVAL)",
+              timeline_interval, 1, max);
+    flags.add("--interrupt-after=N",
+              "testing: inject SIGINT after N cells", interrupt_after, 1,
+              max);
+    flags.add("--worker",
+              "fleet mode (see tools/dcl1fleet): one pass over a\n"
+              "--run-dir shared with other worker processes: run\n"
+              "each cell this process claims first; write no CSV\n"
+              "(merge with a final --resume run, which also runs\n"
+              "cells a dead worker claimed)",
+              worker_mode);
+    if (!flags.parse(argc, argv))
+        return exec::kExitOk;
     if (worker_mode && run_dir.empty())
         fatal("--worker requires --run-dir=DIR (or --resume=DIR): "
               "fleet workers share cells through a durable run "
@@ -275,7 +223,7 @@ main(int argc, char **argv)
         const std::string config = csprintf(
             "dcl1sweep designs=%s apps=%s cycles=%llu/%llu "
             "platform=[%s] seed=%llu",
-            joinCsv(design_names).c_str(), joinCsv(app_names).c_str(),
+            joinList(design_names).c_str(), joinList(app_names).c_str(),
             static_cast<unsigned long long>(opts.measureCycles),
             static_cast<unsigned long long>(opts.warmupCycles),
             sys.summary().c_str(),
