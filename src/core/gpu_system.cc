@@ -270,10 +270,15 @@ void
 GpuSystem::countQuiescent()
 {
     std::uint64_t idle_cores = 0;
-    for (const auto &core : cores_)
+    std::uint64_t stalled_cores = 0;
+    for (const auto &core : cores_) {
         if (!core->busy())
             ++idle_cores;
+        else if (core->stalled())
+            ++stalled_cores;
+    }
     DCL1_PROF_COUNT(QuiescentCore, idle_cores);
+    DCL1_PROF_COUNT(StalledCore, stalled_cores);
     std::uint64_t idle_nodes = 0;
     for (const auto &node : nodes_)
         if (!node->busy())

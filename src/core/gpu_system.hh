@@ -238,7 +238,8 @@ class GpuSystem
     /**
      * Host-profiler bookkeeping (called only while prof::active()):
      * counts components that will tick this cycle with nothing to do,
-     * the signal the event-driven-ticking arc needs to size its win.
+     * the signal the event-driven-ticking arc needs to size its win,
+     * and busy cores whose last tick issued, moved and retired nothing.
      */
     void countQuiescent();
 

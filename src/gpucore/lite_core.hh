@@ -2,21 +2,28 @@
  * @file
  * Lite GPU core (compute unit) model.
  *
- * The core holds up to 48 resident wavefronts. Each cycle it issues one
- * instruction from a ready wavefront (round-robin): arithmetic
- * instructions retire immediately, memory instructions are coalesced
- * into line requests that drain through the LSU toward either the
- * core's private L1 (baseline) or the outbound queue toward NoC#1
- * (DC-L1 designs, the paper's "Lite Core" with no L1/MSHR). A
- * wavefront with outstanding read-class requests is descheduled until
- * all its replies arrive — this is the latency-hiding mechanism whose
- * effectiveness scales with occupancy and arithmetic intensity.
+ * The core holds up to workload::kMaxWarpsPerCore (64) resident
+ * wavefronts. Each cycle it issues one instruction from a ready
+ * wavefront (round-robin): arithmetic instructions retire immediately,
+ * memory instructions are coalesced into line requests that drain
+ * through the LSU toward either the core's private L1 (baseline) or
+ * the outbound queue toward NoC#1 (DC-L1 designs, the paper's "Lite
+ * Core" with no L1/MSHR). A wavefront with outstanding read-class
+ * requests is descheduled until all its replies arrive — this is the
+ * latency-hiding mechanism whose effectiveness scales with occupancy
+ * and arithmetic intensity.
+ *
+ * A stalled core (full LSU or store buffer, L1 refusing the LSU head)
+ * retries the same refused work every cycle. Once a tick has changed
+ * nothing and every ready warp has been refused since the last change,
+ * later ticks repeat that tick's counters in O(1) until an event that
+ * can change the outcome arrives (see tick()).
  */
 
 #ifndef DCL1_GPUCORE_LITE_CORE_HH
 #define DCL1_GPUCORE_LITE_CORE_HH
 
-#include <deque>
+#include <array>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -72,8 +79,23 @@ class LiteCore
     LiteCore(const LiteCoreParams &params, workload::TraceSource *source,
              mem::CacheListener *listener = nullptr);
 
-    /** Advance one core cycle. */
+    /**
+     * Advance one core cycle. A tick that cannot change anything
+     * replays the last tick instead: the last tick issued, moved and
+     * retired nothing, every ready warp holds a stashed instruction
+     * refused at the current LSU occupancy and store count, and no
+     * reply, outbound pop, issue gate or binding change has arrived
+     * since. The replay ends when the cycle reaches the L1's oldest
+     * completion. A head refused after taking the L1 port (a full MSHR
+     * target list) always runs the tick in full.
+     */
     void tick(Cycle now);
+
+    /**
+     * Did the last tick issue, move and retire nothing? Read by the
+     * profiler's stalled-core census.
+     */
+    bool stalled() const { return stalled_; }
 
     /// @name Mid-run workload binding (serving layer)
     /// @{
@@ -107,7 +129,12 @@ class LiteCore
     /// @}
 
     /** Gate instruction issue (used by GpuSystem::drain). */
-    void setIssueEnabled(bool enabled) { issueEnabled_ = enabled; }
+    void
+    setIssueEnabled(bool enabled)
+    {
+        issueEnabled_ = enabled;
+        endReplay();
+    }
 
     /**
      * Attach the system's latency-attribution sampler (null to
@@ -155,12 +182,76 @@ class LiteCore
     /// @}
 
   private:
-    void issue(Cycle now);
-    void drainLsu(Cycle now);
-    void pumpL1(Cycle now);
+    /// @name Tick stages; each returns whether it changed anything.
+    /// @{
+    bool issue(Cycle now);
+    bool drainLsu(Cycle now);
+    bool pumpL1(Cycle now);
+    /// @}
+    bool issueGated() const
+    {
+        return !issueEnabled_ || !source_ || sourceClosed_;
+    }
+    /** May tick(@p now) replay the last tick? */
+    bool canReplay(Cycle now) const;
+    /** Something a tick reads changed: the next tick runs in full. */
+    void endReplay();
+    /** Apply the ready-ring rotation that replayed ticks deferred. */
+    void settleRotation();
     /** Account a completed request: write ACK, or read reply. */
     void retire(mem::MemRequest &req, Cycle now);
     void wakeWarp(WarpId warp);
+
+    /**
+     * Ready warps in scheduling order: a fixed ring of kMaxWarpsPerCore
+     * ids, so scheduling never allocates. Each warp is in it at most once.
+     */
+    class WarpRing
+    {
+      public:
+        bool empty() const { return size_ == 0; }
+        std::uint32_t size() const { return size_; }
+        void clear() { head_ = size_ = 0; }
+
+        WarpId
+        popFront()
+        {
+            const WarpId w = slots_[head_];
+            head_ = wrap(head_ + 1);
+            --size_;
+            return w;
+        }
+
+        void
+        pushBack(WarpId w)
+        {
+            slots_[wrap(head_ + size_)] = w;
+            ++size_;
+        }
+
+        void
+        pushFront(WarpId w)
+        {
+            head_ = wrap(head_ + kCap - 1);
+            slots_[head_] = w;
+            ++size_;
+        }
+
+        /** Insert @p w before the first warp with a higher id. */
+        void insertOrdered(WarpId w);
+
+        /** Move the first @p k warps (mod size) to the back, in order. */
+        void rotate(std::uint64_t k);
+
+      private:
+        static constexpr std::uint32_t kCap = workload::kMaxWarpsPerCore;
+        static std::uint32_t wrap(std::uint32_t i) { return i % kCap; }
+        WarpId &at(std::uint32_t pos) { return slots_[wrap(head_ + pos)]; }
+
+        std::array<WarpId, kCap> slots_{};
+        std::uint32_t head_ = 0;
+        std::uint32_t size_ = 0;
+    };
 
     struct WarpCtx
     {
@@ -174,7 +265,7 @@ class LiteCore
 
     std::uint32_t numWarps_;
     std::vector<WarpCtx> warps_;
-    std::deque<WarpId> readyWarps_;
+    WarpRing readyWarps_;
 
     mem::BoundedQueue<mem::MemRequestPtr> lsu_;
     mem::BoundedQueue<mem::MemRequestPtr> outbound_;
@@ -186,6 +277,17 @@ class LiteCore
     bool sourceClosed_ = false;
     std::uint64_t bindingInstructions_ = 0;
     stats::LatencyAttribution *tlm_ = nullptr;
+
+    /// @name Stalled-tick replay
+    /// @{
+    bool stalled_ = false;  ///< the last tick changed nothing
+    bool armed_ = false;    ///< the next tick may replay the last one
+    std::uint64_t quietScans_ = 0; ///< warps refused since a change
+    std::uint32_t lastStalls_ = 0; ///< lsu_stalls the last tick added
+    bool lastNoWarp_ = false;      ///< the last tick found no ready warp
+    bool headBlocked_ = false; ///< the L1 pre-check refused the LSU head
+    std::uint64_t unrotated_ = 0; ///< rotation owed by replayed ticks
+    /// @}
 
     stats::StatGroup statGroup_;
     stats::Scalar instructions_;

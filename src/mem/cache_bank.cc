@@ -96,7 +96,7 @@ CacheBank::access(MemRequestPtr &req, Cycle now)
     const LineAddr line = req->line(params_.lineBytes);
     const bool write = req->isWrite();
 
-    // --- structural pre-checks (no state change, no stats) ---
+    // --- structural pre-checks (no state change but `blocked`) ---
     if (write && params_.policy == WritePolicy::WriteEvict) {
         if (downstream_.full()) {
             ++blocked_;

@@ -108,6 +108,13 @@ class CacheBank
     /** Pop a completed request (hit or filled miss) ready at @p now. */
     std::optional<MemRequestPtr> takeCompleted(Cycle now);
 
+    /** Ready cycle of the oldest completion (cycleNever if none). */
+    Cycle
+    nextCompletion() const
+    {
+        return completed_.empty() ? cycleNever : completed_.front().first;
+    }
+
     /** Pop a request bound for the next hierarchy level. */
     std::optional<MemRequestPtr> takeDownstream();
 
@@ -143,6 +150,12 @@ class CacheBank
     }
     std::uint64_t mshrMerges() const { return mshrMerges_.value(); }
     std::uint64_t blockedEvents() const { return blocked_.value(); }
+    /**
+     * Count one access refused by the structural pre-check without
+     * making it: a caller that knows nothing the pre-check reads has
+     * changed since its last refusal repeats only that refusal's stat.
+     */
+    void countBlocked() { ++blocked_; }
     std::uint64_t writebacks() const { return writebacks_.value(); }
     std::size_t mshrInUse() const { return mshr_.inUse(); }
     /// @}

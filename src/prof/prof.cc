@@ -49,6 +49,8 @@ counterName(Counter counter)
         return "quiescent_xbar_ticks";
       case Counter::QuiescentCore:
         return "quiescent_core_ticks";
+      case Counter::StalledCore:
+        return "stalled_core_ticks";
       case Counter::QuiescentNode:
         return "quiescent_node_ticks";
     }

@@ -73,11 +73,12 @@ enum class Counter : std::uint8_t
     QuiescentDram,  ///< DRAM channel ticks with an empty queue
     QuiescentXbar,  ///< crossbar ticks with nothing in flight
     QuiescentCore,  ///< core ticks while !busy() (drained/idle)
+    StalledCore,    ///< busy core ticks that issued, moved, retired nothing
     QuiescentNode,  ///< DC-L1 node ticks while !busy()
 };
 
 /** Number of Counter values (array sizing). */
-inline constexpr std::size_t kCounterCount = 6;
+inline constexpr std::size_t kCounterCount = 7;
 
 /** Stable counter name (schema field). */
 const char *counterName(Counter counter);

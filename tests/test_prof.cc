@@ -19,6 +19,7 @@
 #include "exec/job_runner.hh"
 #include "prof/prof.hh"
 #include "stats/prof_trace.hh"
+#include "workload/app_catalog.hh"
 #include "workload/workload.hh"
 
 namespace
@@ -331,6 +332,35 @@ TEST(ProfilerExecTest, CoverageAtLeast95Percent)
     EXPECT_GT(r.counters[static_cast<std::size_t>(
                   prof::Counter::MemReqAlloc)],
               0u);
+}
+
+/**
+ * The stalled-core census: Baseline x T-AlexNet keeps its private L1s
+ * blocked, so busy cores spend ticks that issue, move and retire
+ * nothing. The count is bounded by core ticks and fixed by the seed.
+ */
+TEST(ProfilerExecTest, CountsStalledCores)
+{
+    const core::SystemConfig sys;
+    auto census = [&] {
+        prof::Profiler profiler;
+        {
+            prof::TlsGuard guard(&profiler);
+            core::GpuSystem gpu(sys, core::designByName("Baseline"),
+                                workload::appByName("T-AlexNet").params);
+            gpu.run(2000, 1000);
+        }
+        const prof::Report r = profiler.report();
+        return std::make_pair(
+            r.counters[static_cast<std::size_t>(
+                prof::Counter::StalledCore)],
+            r.counters[static_cast<std::size_t>(
+                prof::Counter::TickCycles)]);
+    };
+    const auto [stalled, ticks] = census();
+    EXPECT_GT(stalled, 0u);
+    EXPECT_LE(stalled, std::uint64_t(sys.numCores) * ticks);
+    EXPECT_EQ(census().first, stalled);
 }
 
 /** Chrome-trace bridge: one flame-chart slice per report node. */
