@@ -36,6 +36,12 @@ SystemConfig::validate() const
     if (chunkBytes == 0 || chunkBytes % lineBytes != 0)
         fatal("platform: %uB address-interleave chunks are not a "
               "multiple of %uB lines", chunkBytes, lineBytes);
+    if (dram.rowBytes == 0 || dram.rowBytes % chunkBytes != 0)
+        fatal("platform: %uB DRAM rows are not a nonzero multiple of "
+              "%uB address-interleave chunks", dram.rowBytes, chunkBytes);
+    if (dram.numBanks == 0 || dram.queueCap == 0)
+        fatal("platform: DRAM banks/queue capacity must be nonzero "
+              "(%u/%u)", dram.numBanks, dram.queueCap);
 
     struct CacheGeom
     {

@@ -31,17 +31,13 @@ DramChannel::localRow(Addr addr) const
     return local_chunk / (params_.rowBytes / params_.chunkBytes);
 }
 
-std::uint32_t
-DramChannel::bankOf(Addr addr) const
+void
+DramChannel::rearm()
 {
-    // Spread consecutive local rows across banks.
-    return static_cast<std::uint32_t>(localRow(addr) % params_.numBanks);
-}
-
-std::uint64_t
-DramChannel::rowOf(Addr addr) const
-{
-    return localRow(addr) / params_.numBanks;
+    wakeAt_ = cycleNever;
+    for (const Bank &bank : banks_)
+        if (bank.queued != 0)
+            wakeAt_ = std::min(wakeAt_, bank.readyAt);
 }
 
 void
@@ -52,7 +48,12 @@ DramChannel::push(MemRequestPtr req, Cycle now)
     DCL1_CHECK_ONLY(
         check::ledger().onTransition(*req, check::ReqStage::AtDram));
     stats::tlmEnter(req->tlm, stats::Seg::Dram, now);
-    queue_.push_back(Queued{std::move(req), now});
+    // Consecutive local rows are spread across banks.
+    const std::uint64_t local_row = localRow(req->addr);
+    const auto b = static_cast<std::uint32_t>(local_row % params_.numBanks);
+    ++banks_[b].queued;
+    wakeAt_ = std::min(wakeAt_, banks_[b].readyAt);
+    queue_.push_back(Queued{std::move(req), b, local_row / params_.numBanks});
 }
 
 void
@@ -68,16 +69,29 @@ DramChannel::tick(Cycle now)
         DCL1_PROF_COUNT(QuiescentDram, 1);
         return;
     }
+    if (now < wakeAt_) {
+        // Every queued request's bank is still busy.
+        DCL1_CHECK_ONLY(for (const Queued &q : queue_) {
+            if (banks_[q.bank].readyAt <= now)
+                panic("dram %s: bank %u ready at %llu, before the "
+                      "channel wakes at %llu",
+                      params_.name.c_str(), q.bank,
+                      static_cast<unsigned long long>(
+                          banks_[q.bank].readyAt),
+                      static_cast<unsigned long long>(wakeAt_));
+        });
+        DCL1_PROF_COUNT(WaitingDram, 1);
+        return;
+    }
 
     // FR-FCFS: oldest row-hit first, else oldest request whose bank is
-    // ready to start a new row cycle.
+    // ready to start a new row cycle. Some bank is ready at wakeAt_.
     auto pick = queue_.end();
     for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        const Addr addr = it->req->addr;
-        Bank &bank = banks_[bankOf(addr)];
+        const Bank &bank = banks_[it->bank];
         if (bank.readyAt > now)
             continue;
-        if (bank.openRow == rowOf(addr)) {
+        if (bank.openRow == it->row) {
             pick = it;
             break; // oldest row hit wins outright
         }
@@ -85,14 +99,14 @@ DramChannel::tick(Cycle now)
             pick = it; // remember the oldest schedulable row miss
     }
     if (pick == queue_.end())
-        return;
+        panic("dram %s: no ready bank at wake cycle %llu",
+              params_.name.c_str(), static_cast<unsigned long long>(now));
 
+    Bank &bank = banks_[pick->bank];
+    const std::uint64_t row = pick->row;
     MemRequestPtr req = std::move(pick->req);
     queue_.erase(pick);
-
-    const Addr addr = req->addr;
-    Bank &bank = banks_[bankOf(addr)];
-    const std::uint64_t row = rowOf(addr);
+    --bank.queued;
 
     Cycle col_ready = now;
     if (bank.openRow == row) {
@@ -109,6 +123,7 @@ DramChannel::tick(Cycle now)
     busFreeAt_ = done;
     busBusy_ += params_.burstCycles;
     bank.readyAt = done;
+    rearm();
 
     if (req->isWrite()) {
         ++writes_;

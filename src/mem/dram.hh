@@ -7,6 +7,11 @@
  * 1.515 core cycles at 1400 MHz), which keeps the whole simulator on a
  * single clock base. Each channel has a bounded request queue, N banks
  * with open-row state, and a shared data bus that serializes bursts.
+ *
+ * A request's bank and row are decoded once, when it is queued. The
+ * channel also keeps how many queued requests each bank holds and the
+ * earliest cycle one of those banks is ready: before that cycle the
+ * FR-FCFS scan could pick nothing, so a tick costs O(1).
  */
 
 #ifndef DCL1_MEM_DRAM_HH
@@ -87,21 +92,27 @@ class DramChannel
     {
         std::uint64_t openRow = ~0ull;
         Cycle readyAt = 0;
+        std::uint32_t queued = 0; ///< entries of queue_ for this bank
     };
 
+    /** A queued request with its bank and row decoded at push. */
     struct Queued
     {
         MemRequestPtr req;
-        Cycle arrived;
+        std::uint32_t bank;
+        std::uint64_t row;
     };
 
     std::uint64_t localRow(Addr addr) const;
-    std::uint32_t bankOf(Addr addr) const;
-    std::uint64_t rowOf(Addr addr) const;
+    /** Recompute wakeAt_ from the banks' queued counts. */
+    void rearm();
 
     DramParams params_;
     std::vector<Bank> banks_;
     std::deque<Queued> queue_;
+    /** Earliest readyAt of a bank with a queued request; cycleNever
+     *  while the queue is empty. No tick before it can issue. */
+    Cycle wakeAt_ = cycleNever;
     /** (completionCycle, request); unsorted, scanned on take. */
     std::vector<std::pair<Cycle, MemRequestPtr>> inService_;
     Cycle busFreeAt_ = 0;

@@ -45,6 +45,8 @@ counterName(Counter counter)
         return "tick_cycles";
       case Counter::QuiescentDram:
         return "quiescent_dram_ticks";
+      case Counter::WaitingDram:
+        return "waiting_dram_ticks";
       case Counter::QuiescentXbar:
         return "quiescent_xbar_ticks";
       case Counter::QuiescentCore:

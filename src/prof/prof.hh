@@ -71,6 +71,7 @@ enum class Counter : std::uint8_t
     MemReqAlloc,    ///< MemRequest heap allocations (makeRequest)
     TickCycles,     ///< tickOnce iterations observed
     QuiescentDram,  ///< DRAM channel ticks with an empty queue
+    WaitingDram,    ///< DRAM channel ticks with a queue but no ready bank
     QuiescentXbar,  ///< crossbar ticks with nothing in flight
     QuiescentCore,  ///< core ticks while !busy() (drained/idle)
     StalledCore,    ///< busy core ticks that issued, moved, retired nothing
@@ -78,7 +79,7 @@ enum class Counter : std::uint8_t
 };
 
 /** Number of Counter values (array sizing). */
-inline constexpr std::size_t kCounterCount = 7;
+inline constexpr std::size_t kCounterCount = 8;
 
 /** Stable counter name (schema field). */
 const char *counterName(Counter counter);

@@ -134,6 +134,33 @@ TEST(Design, PlatformValidateRejectsImpossibleConfigs)
     zero_queue.nodeQueueCap = 0;
     EXPECT_EXIT(zero_queue.validate(), ::testing::ExitedWithCode(1),
                 "queue capacity");
+
+    // Chunks wider than a DRAM row give rows of zero chunks, and the
+    // channel-local row address would divide by zero.
+    SystemConfig wide_chunks;
+    wide_chunks.chunkBytes = 4096; // a multiple of the line, > 2048 B rows
+    EXPECT_EXIT(wide_chunks.validate(), ::testing::ExitedWithCode(1),
+                "DRAM rows");
+
+    SystemConfig odd_rows;
+    odd_rows.dram.rowBytes = 2048 + 128; // not a multiple of 256 B chunks
+    EXPECT_EXIT(odd_rows.validate(), ::testing::ExitedWithCode(1),
+                "DRAM rows");
+
+    SystemConfig zero_rows;
+    zero_rows.dram.rowBytes = 0;
+    EXPECT_EXIT(zero_rows.validate(), ::testing::ExitedWithCode(1),
+                "DRAM rows");
+
+    SystemConfig zero_banks;
+    zero_banks.dram.numBanks = 0;
+    EXPECT_EXIT(zero_banks.validate(), ::testing::ExitedWithCode(1),
+                "DRAM banks");
+
+    SystemConfig zero_dram_queue;
+    zero_dram_queue.dram.queueCap = 0;
+    EXPECT_EXIT(zero_dram_queue.validate(), ::testing::ExitedWithCode(1),
+                "DRAM banks");
 }
 
 TEST(Design, DesignByName)

@@ -363,6 +363,35 @@ TEST(ProfilerExecTest, CountsStalledCores)
     EXPECT_EQ(census().first, stalled);
 }
 
+/**
+ * The DRAM census: a channel tick is quiescent (empty queue), waiting
+ * (queued requests, no ready bank) or issues exactly one read or
+ * write. Baseline x C-BLK streams, so its channels wait.
+ */
+TEST(ProfilerExecTest, CountsWaitingDramTicks)
+{
+    const core::SystemConfig sys;
+    prof::Profiler profiler;
+    core::RunMetrics rm;
+    {
+        prof::TlsGuard guard(&profiler);
+        core::GpuSystem gpu(sys, core::designByName("Baseline"),
+                            workload::appByName("C-BLK").params);
+        gpu.run(3000, 0);
+        rm = gpu.metrics();
+    }
+    const prof::Report r = profiler.report();
+    auto counter = [&](prof::Counter k) {
+        return r.counters[static_cast<std::size_t>(k)];
+    };
+    const std::uint64_t waiting = counter(prof::Counter::WaitingDram);
+    EXPECT_GT(waiting, 0u);
+    EXPECT_EQ(waiting + counter(prof::Counter::QuiescentDram) +
+                  rm.dramReads + rm.dramWrites,
+              std::uint64_t(sys.numChannels) *
+                  counter(prof::Counter::TickCycles));
+}
+
 /** Chrome-trace bridge: one flame-chart slice per report node. */
 TEST(ProfTraceTest, ExportHostPhases)
 {
