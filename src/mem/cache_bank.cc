@@ -82,6 +82,18 @@ CacheBank::installLine(LineAddr line, bool dirty)
     }
 }
 
+bool
+CacheBank::refusedByPreCheck(LineAddr line, bool write) const
+{
+    // A write-through needs room downstream; a read miss that cannot
+    // merge needs an MSHR and room for its fetch.
+    if (write)
+        return params_.policy == WritePolicy::WriteEvict &&
+               downstream_.full();
+    return (mshr_.full() || downstream_.full()) && !params_.perfect &&
+           !tags_.contains(line) && !mshr_.hasEntry(line);
+}
+
 AccessOutcome
 CacheBank::access(MemRequestPtr &req, Cycle now)
 {
@@ -96,22 +108,27 @@ CacheBank::access(MemRequestPtr &req, Cycle now)
     const LineAddr line = req->line(params_.lineBytes);
     const bool write = req->isWrite();
 
-    // --- structural pre-checks (no state change but `blocked`) ---
-    if (write && params_.policy == WritePolicy::WriteEvict) {
-        if (downstream_.full()) {
-            ++blocked_;
-            return AccessOutcome::Blocked;
-        }
-    } else if (!write && !params_.perfect && !tags_.contains(line)) {
-        if (mshr_.hasEntry(line)) {
-            // merge path checked below (may still fail on targets)
-        } else if (mshr_.full() || downstream_.full()) {
-            ++blocked_;
-            return AccessOutcome::Blocked;
-        }
+    // --- structural pre-check (no state change but `blocked`) ---
+    if (refusal_.epoch == epoch_ && refusal_.line == line &&
+        refusal_.write == write) {
+        // Nothing the pre-check reads has changed since it refused
+        // this line and kind.
+        DCL1_ASSERT(refusedByPreCheck(line, write),
+                    "cache %s: remembered refusal of line %#llx no "
+                    "longer holds",
+                    params_.name.c_str(),
+                    static_cast<unsigned long long>(line));
+        ++blocked_;
+        return AccessOutcome::Blocked;
+    }
+    if (refusedByPreCheck(line, write)) {
+        refusal_ = Refusal{line, write, epoch_};
+        ++blocked_;
+        return AccessOutcome::Blocked;
     }
 
     // --- the access now occupies the port ---
+    ++epoch_;
     lastPortCycle_ = now;
     ++accesses_;
     req->l1ServiceAt = now;
@@ -212,6 +229,7 @@ CacheBank::takeCompleted(Cycle now)
 std::optional<MemRequestPtr>
 CacheBank::takeDownstream()
 {
+    ++epoch_;
     while (!pendingWritebacks_.empty() && downstream_.canPush()) {
         downstream_.push(std::move(pendingWritebacks_.front()));
         pendingWritebacks_.pop_front();
@@ -233,6 +251,7 @@ CacheBank::fill(MemRequestPtr reply, Cycle now)
     DCL1_CHECK_ONLY(
         check::ledger().onTransition(*reply, check::ReqStage::AtCache));
     stats::tlmEnter(reply->tlm, params_.tlmSeg, now);
+    ++epoch_;
     if (reply->isWrite()) {
         // Write-through ACK (WriteEvict): complete the original write.
         scheduleCompletion(std::move(reply), now);

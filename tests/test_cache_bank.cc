@@ -225,6 +225,107 @@ TEST(CacheBank, BlockedWhenDownstreamFull)
     EXPECT_EQ(bank.access(r2, 2), AccessOutcome::Blocked);
 }
 
+/*
+ * A structural refusal is remembered until an access takes the port,
+ * a fill arrives or the miss queue is drained. Each test refuses line
+ * A twice, applies one of those events, and checks that A is examined
+ * again. Checked builds also re-run the pre-check behind every
+ * remembered refusal and panic if it would now pass.
+ */
+
+TEST(CacheBank, RefusalRearmsOnAccess)
+{
+    // An L2-style bank: a write miss installs its line (write-validate).
+    CacheBankParams p = smallParams();
+    p.policy = WritePolicy::WriteBack;
+    p.mshrs = 1;
+    CacheBank bank(p);
+    auto x = read(0x0);
+    ASSERT_EQ(bank.access(x, 1), AccessOutcome::Miss); // MSHRs full
+    auto a = read(0x1000);
+    EXPECT_EQ(bank.access(a, 2), AccessOutcome::Blocked);
+    EXPECT_EQ(bank.access(a, 3), AccessOutcome::Blocked);
+    EXPECT_EQ(bank.blockedEvents(), 2u);
+    auto w = write(0x1000);
+    ASSERT_EQ(bank.access(w, 4), AccessOutcome::Hit); // installs A
+    EXPECT_EQ(bank.access(a, 5), AccessOutcome::Hit);
+}
+
+TEST(CacheBank, RefusalRearmsOnFill)
+{
+    CacheBankParams p = smallParams();
+    p.mshrs = 1;
+    CacheBank bank(p);
+    auto x = read(0x0);
+    ASSERT_EQ(bank.access(x, 1), AccessOutcome::Miss);
+    auto fetch = bank.takeDownstream();
+    ASSERT_TRUE(fetch.has_value());
+    auto a = read(0x1000);
+    EXPECT_EQ(bank.access(a, 2), AccessOutcome::Blocked);
+    EXPECT_EQ(bank.access(a, 3), AccessOutcome::Blocked);
+    (*fetch)->isReply = true;
+    bank.fill(std::move(*fetch), 4); // frees the MSHR
+    EXPECT_EQ(bank.access(a, 5), AccessOutcome::Miss);
+}
+
+TEST(CacheBank, RefusalRearmsOnTakeDownstream)
+{
+    CacheBankParams p = smallParams();
+    p.downstreamCap = 1;
+    CacheBank bank(p);
+    auto x = read(0x0);
+    ASSERT_EQ(bank.access(x, 1), AccessOutcome::Miss); // miss queue full
+    auto a = read(0x1000);
+    EXPECT_EQ(bank.access(a, 2), AccessOutcome::Blocked);
+    EXPECT_EQ(bank.access(a, 3), AccessOutcome::Blocked);
+    ASSERT_TRUE(bank.takeDownstream().has_value());
+    EXPECT_EQ(bank.access(a, 4), AccessOutcome::Miss);
+}
+
+TEST(CacheBank, RefusalIsRememberedPerLineAndKind)
+{
+    CacheBankParams p = smallParams();
+    p.mshrs = 2;
+    CacheBank bank(p);
+    Cycle now = 0;
+    installViaFill(bank, 0x2000, now); // B resident
+    auto x = read(0x0);
+    auto y = read(0x800);
+    ASSERT_EQ(bank.access(x, ++now), AccessOutcome::Miss);
+    ASSERT_EQ(bank.access(y, ++now), AccessOutcome::Miss); // MSHRs full
+    auto a = read(0x1000);
+    EXPECT_EQ(bank.access(a, ++now), AccessOutcome::Blocked);
+    // The same line as a write needs only miss-queue room.
+    auto wa = write(0x1000);
+    EXPECT_EQ(bank.access(wa, ++now), AccessOutcome::Miss);
+    EXPECT_EQ(bank.access(a, ++now), AccessOutcome::Blocked);
+    // Other lines: a resident one hits, an in-flight one merges.
+    auto b = read(0x2000);
+    EXPECT_EQ(bank.access(b, ++now), AccessOutcome::Hit);
+    EXPECT_EQ(bank.access(a, ++now), AccessOutcome::Blocked);
+    auto x2 = read(0x0, /*core=*/1);
+    EXPECT_EQ(bank.access(x2, ++now), AccessOutcome::Miss);
+    EXPECT_EQ(bank.mshrMerges(), 1u);
+}
+
+TEST(CacheBank, FullTargetListIsNeverRemembered)
+{
+    // NoTargetFree is found after the access takes the port; every
+    // retry takes the port again.
+    CacheBankParams p = smallParams();
+    p.targetsPerMshr = 1;
+    CacheBank bank(p);
+    auto x = read(0x0);
+    ASSERT_EQ(bank.access(x, 1), AccessOutcome::Miss);
+    auto x2 = read(0x0, /*core=*/1);
+    for (Cycle t = 2; t <= 4; ++t) {
+        EXPECT_EQ(bank.access(x2, t), AccessOutcome::Blocked);
+        EXPECT_FALSE(bank.canAccept(t)) << "cycle " << t;
+        EXPECT_EQ(x2->l1ServiceAt, t);
+    }
+    EXPECT_EQ(bank.blockedEvents(), 3u);
+}
+
 TEST(CacheBank, PerfectModeAlwaysHits)
 {
     CacheBankParams p = smallParams();
