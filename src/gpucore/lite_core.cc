@@ -277,20 +277,17 @@ LiteCore::drainLsu(Cycle now)
         mem::MemRequestPtr &head = lsu_.front();
         const bool to_l1 = l1_ && head->usesL1();
         if (to_l1) {
-            // The L1 data port is single-issue per cycle; access()
-            // leaves the head in place when structurally blocked.
+            // The L1 data port is single-issue per cycle. A refused
+            // access leaves the head in place and changes only the
+            // L1's blocked count.
             if (!l1_->canAccept(now))
                 break;
-            mem::AccessOutcome outcome = l1_->access(head, now);
-            if (outcome == mem::AccessOutcome::Blocked) {
-                // A pre-check refusal leaves the port free and changes
-                // only the blocked count. A full MSHR target list
-                // refuses after taking the port, which is a change.
-                headBlocked_ = l1_->canAccept(now);
-                return moved != 0 || !headBlocked_;
+            headBlocked_ =
+                l1_->access(head, now) == mem::AccessOutcome::Blocked;
+            if (!headBlocked_) {
+                lsu_.pop();
+                ++moved;
             }
-            lsu_.pop();
-            ++moved;
             break;
         }
         // Atomic / bypass in baseline mode, or everything in DC-L1

@@ -86,8 +86,7 @@ class LiteCore
      * refused at the current LSU occupancy and store count, and no
      * reply, outbound pop, issue gate or binding change has arrived
      * since. The replay ends when the cycle reaches the L1's oldest
-     * completion. A head refused after taking the L1 port (a full MSHR
-     * target list) always runs the tick in full.
+     * completion.
      */
     void tick(Cycle now);
 

@@ -85,13 +85,16 @@ CacheBank::installLine(LineAddr line, bool dirty)
 bool
 CacheBank::refusedByPreCheck(LineAddr line, bool write) const
 {
-    // A write-through needs room downstream; a read miss that cannot
-    // merge needs an MSHR and room for its fetch.
+    // A write-through needs room downstream. A read miss needs room in
+    // its line's MSHR target list, or a free MSHR and room for its
+    // fetch.
     if (write)
         return params_.policy == WritePolicy::WriteEvict &&
                downstream_.full();
-    return (mshr_.full() || downstream_.full()) && !params_.perfect &&
-           !tags_.contains(line) && !mshr_.hasEntry(line);
+    const bool miss_refused =
+        mshr_.refuses(line) ||
+        (downstream_.full() && !mshr_.hasEntry(line));
+    return miss_refused && !params_.perfect && !tags_.contains(line);
 }
 
 AccessOutcome
@@ -185,35 +188,23 @@ CacheBank::access(MemRequestPtr &req, Cycle now)
 
     ++misses_;
     ++readMisses_;
-
-    // The directory sees a miss only once the MSHR takes it: a full
-    // target list rolls the access back below, and the retry next
-    // cycle is the same miss, not a new one.
-    MshrOutcome mo = mshr_.registerMiss(line, req);
-    if (listener_ && mo != MshrOutcome::NoTargetFree)
+    if (listener_)
         listener_->onMiss(cacheId_, line);
-    switch (mo) {
+    switch (mshr_.registerMiss(line, req)) {
       case MshrOutcome::NewEntry:
         ++req->fetchDepth;
         req->payloadBytes = 0;
         downstream_.push(std::move(req));
-        ++inFlightFetches_;
         return AccessOutcome::Miss;
       case MshrOutcome::Merged:
         ++mshrMerges_;
         return AccessOutcome::Miss;
-      case MshrOutcome::NoTargetFree:
-        // Roll back the stats charged above; the caller retries.
-        ++blocked_;
-        accesses_.set(accesses_.value() - 1);
-        readAccesses_.set(readAccesses_.value() - 1);
-        misses_.set(misses_.value() - 1);
-        readMisses_.set(readMisses_.value() - 1);
-        return AccessOutcome::Blocked;
       case MshrOutcome::NoEntryFree:
-        panic("cache %s: MSHR full after pre-check", params_.name.c_str());
+      case MshrOutcome::NoTargetFree:
+        break;
     }
-    panic("cache %s: unreachable", params_.name.c_str());
+    panic("cache %s: MSHR refused line %#llx after the pre-check",
+          params_.name.c_str(), static_cast<unsigned long long>(line));
 }
 
 std::optional<MemRequestPtr>
@@ -272,9 +263,6 @@ CacheBank::fill(MemRequestPtr reply, Cycle now)
     }
 
     std::vector<MemRequestPtr> targets = mshr_.completeFetch(line);
-    if (inFlightFetches_ == 0)
-        panic("cache %s: fetch fill underflow", params_.name.c_str());
-    --inFlightFetches_;
 
     --reply->fetchDepth;
     reply->isReply = true;

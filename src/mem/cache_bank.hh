@@ -8,6 +8,12 @@
  * merging, and a bounded downstream (miss/write-through) queue whose
  * fullness exerts backpressure on new accesses.
  *
+ * A structural pre-check reads the line's tag, its MSHR entry (a full
+ * target list), MSHR fullness and miss-queue room before an access
+ * commits. An access it refuses changes nothing but the `blocked`
+ * count: the port stays free and the request is left untouched with
+ * the caller, which retries it later.
+ *
  * Two write policies are supported, matching the paper's platform:
  *  - WriteEvict (L1/DC-L1): a write hit evicts the line; writes never
  *    allocate and are always forwarded downstream (write-through); the
@@ -101,7 +107,7 @@ class CacheBank
 
     /**
      * Perform an access. On Hit/Miss ownership of @p req moves into the
-     * bank; on Blocked the request is left with the caller.
+     * bank; on Blocked the request is left untouched with the caller.
      */
     AccessOutcome access(MemRequestPtr &req, Cycle now);
 
@@ -189,15 +195,13 @@ class CacheBank
     std::deque<MemRequestPtr> pendingWritebacks_;
 
     Cycle lastPortCycle_ = cycleNever;
-    std::uint64_t inFlightFetches_ = 0;
 
     /**
      * What the pre-check reads (tags, MSHR entries, miss-queue room)
      * changes only through an access that takes the port, fill() or
      * takeDownstream(), and each of them bumps the epoch. A retry of
      * refusal_'s line and kind in the same epoch is refused without
-     * probing again. A full MSHR target list (NoTargetFree) is refused
-     * after the port is taken, so it is never remembered.
+     * probing again.
      */
     std::uint64_t epoch_ = 1;
     Refusal refusal_;

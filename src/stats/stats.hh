@@ -32,7 +32,6 @@ class Scalar
     Scalar() = default;
 
     void inc(std::uint64_t v = 1) { value_ += v; }
-    void set(std::uint64_t v) { value_ = v; }
     std::uint64_t value() const { return value_; }
     void reset() { value_ = 0; }
 

@@ -308,22 +308,33 @@ TEST(CacheBank, RefusalIsRememberedPerLineAndKind)
     EXPECT_EQ(bank.mshrMerges(), 1u);
 }
 
-TEST(CacheBank, FullTargetListIsNeverRemembered)
+TEST(CacheBank, FullTargetListIsRefusedByThePreCheck)
 {
-    // NoTargetFree is found after the access takes the port; every
-    // retry takes the port again.
+    // A read miss whose MSHR target list is full is refused before it
+    // commits: the port stays free, the request and the access stats
+    // are untouched, and the refusal is remembered until the line's
+    // fill arrives.
     CacheBankParams p = smallParams();
     p.targetsPerMshr = 1;
     CacheBank bank(p);
     auto x = read(0x0);
     ASSERT_EQ(bank.access(x, 1), AccessOutcome::Miss);
+    auto fetch = bank.takeDownstream();
+    ASSERT_TRUE(fetch.has_value());
     auto x2 = read(0x0, /*core=*/1);
     for (Cycle t = 2; t <= 4; ++t) {
         EXPECT_EQ(bank.access(x2, t), AccessOutcome::Blocked);
-        EXPECT_FALSE(bank.canAccept(t)) << "cycle " << t;
-        EXPECT_EQ(x2->l1ServiceAt, t);
+        EXPECT_TRUE(bank.canAccept(t)) << "cycle " << t;
     }
+    EXPECT_EQ(x2->l1ServiceAt, 0u);
+    EXPECT_EQ(bank.accesses(), 1u);
+    EXPECT_EQ(bank.misses(), 1u);
+    EXPECT_EQ(bank.readMisses(), 1u);
     EXPECT_EQ(bank.blockedEvents(), 3u);
+    (*fetch)->isReply = true;
+    bank.fill(std::move(*fetch), 5); // installs the line
+    EXPECT_EQ(bank.access(x2, 6), AccessOutcome::Hit);
+    EXPECT_EQ(x2, nullptr);
 }
 
 TEST(CacheBank, PerfectModeAlwaysHits)

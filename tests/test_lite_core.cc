@@ -223,6 +223,42 @@ TEST(LiteCore, BaselineMissGoesToNoC)
     EXPECT_GE(core.instructions(), 2u);
 }
 
+TEST(LiteCore, FullTargetListStallsAndReplays)
+{
+    // Two warps load one line through an L1 whose MSHR entries take no
+    // merged target, so the second load is refused on the full target
+    // list until the first one's fill arrives. Each refused tick
+    // changes nothing but the L1's blocked count.
+    FixedSource src(2, load(0x0));
+    LiteCoreParams p = liteParams();
+    p.hasL1 = true;
+    p.l1.sizeBytes = 4096;
+    p.l1.latency = 4;
+    p.l1.targetsPerMshr = 1;
+    LiteCore core(p, &src);
+    core.tick(1); // warp 0 issues
+    core.tick(2); // its load misses; warp 1 issues
+    core.tick(3); // the fetch leaves; warp 1's load is refused
+    auto fetch = core.takeOutbound();
+    ASSERT_TRUE(fetch.has_value());
+    ASSERT_EQ(core.l1()->blockedEvents(), 1u);
+    for (Cycle t = 4; t <= 20; ++t) {
+        core.tick(t);
+        EXPECT_TRUE(core.stalled()) << "cycle " << t;
+    }
+    EXPECT_EQ(core.l1()->blockedEvents(), 18u);
+    EXPECT_EQ(core.l1()->accesses(), 1u);
+
+    // The fill ends the replay, and the refused load then hits.
+    (*fetch)->isReply = true;
+    (*fetch)->payloadBytes = 128;
+    core.deliverReply(std::move(*fetch), 21);
+    core.tick(22);
+    EXPECT_FALSE(core.stalled());
+    EXPECT_EQ(core.l1()->hits(), 1u);
+    EXPECT_EQ(core.l1()->blockedEvents(), 18u);
+}
+
 TEST(LiteCore, ReadLatencyTracked)
 {
     FixedSource src(1, load(0x0));

@@ -72,6 +72,26 @@ TEST(Mshr, TargetExhaustion)
     EXPECT_TRUE(c);
 }
 
+TEST(Mshr, RefusesFullTargetListOrFullFile)
+{
+    Mshr mshr(2, 2); // primary + one merged target
+    EXPECT_FALSE(mshr.refuses(0));
+    auto a = req(0x0, 0);
+    auto b = req(0x0, 1);
+    ASSERT_EQ(mshr.registerMiss(0, a), MshrOutcome::NewEntry);
+    EXPECT_FALSE(mshr.refuses(0)); // room for one merge
+    ASSERT_EQ(mshr.registerMiss(0, b), MshrOutcome::Merged);
+    EXPECT_TRUE(mshr.refuses(0)); // target list full
+    EXPECT_FALSE(mshr.refuses(1)); // a free entry
+    auto c = req(0x80);
+    ASSERT_EQ(mshr.registerMiss(1, c), MshrOutcome::NewEntry);
+    EXPECT_TRUE(mshr.refuses(2)); // no entry and none free
+    EXPECT_FALSE(mshr.refuses(1));
+    mshr.completeFetch(0);
+    EXPECT_FALSE(mshr.refuses(0));
+    EXPECT_FALSE(mshr.refuses(2));
+}
+
 TEST(Mshr, EntryFreedAfterComplete)
 {
     Mshr mshr(1, 2);

@@ -23,8 +23,6 @@ TEST(Scalar, Basics)
     EXPECT_EQ(s.value(), 16u);
     s.reset();
     EXPECT_EQ(s.value(), 0u);
-    s.set(99);
-    EXPECT_EQ(s.value(), 99u);
 }
 
 TEST(Distribution, MeanMinMax)
