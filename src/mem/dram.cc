@@ -120,6 +120,11 @@ DramChannel::tick(Cycle now)
     const Cycle data_start =
         std::max(col_ready + params_.tCl, busFreeAt_);
     const Cycle done = data_start + params_.burstCycles;
+    DCL1_ASSERT(inService_.empty() || inService_.back().first <= done,
+                "dram %s: completion at %llu before the previous one at "
+                "%llu",
+                params_.name.c_str(), static_cast<unsigned long long>(done),
+                static_cast<unsigned long long>(inService_.back().first));
     busFreeAt_ = done;
     busBusy_ += params_.burstCycles;
     bank.readyAt = done;
@@ -152,14 +157,11 @@ DramChannel::tick(Cycle now)
 std::optional<MemRequestPtr>
 DramChannel::takeCompleted(Cycle now)
 {
-    for (auto it = inService_.begin(); it != inService_.end(); ++it) {
-        if (it->first <= now) {
-            MemRequestPtr req = std::move(it->second);
-            inService_.erase(it);
-            return req;
-        }
-    }
-    return std::nullopt;
+    if (inService_.empty() || inService_.front().first > now)
+        return std::nullopt;
+    MemRequestPtr req = std::move(inService_.front().second);
+    inService_.pop_front();
+    return req;
 }
 
 } // namespace dcl1::mem

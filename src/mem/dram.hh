@@ -113,8 +113,9 @@ class DramChannel
     /** Earliest readyAt of a bank with a queued request; cycleNever
      *  while the queue is empty. No tick before it can issue. */
     Cycle wakeAt_ = cycleNever;
-    /** (completionCycle, request); unsorted, scanned on take. */
-    std::vector<std::pair<Cycle, MemRequestPtr>> inService_;
+    /** (completionCycle, request) in issue order, which is completion
+     *  order: each burst starts after the previous one ends. */
+    std::deque<std::pair<Cycle, MemRequestPtr>> inService_;
     Cycle busFreeAt_ = 0;
     Cycle lastTick_ = 0; ///< monotonic-clock check (DCL1_CHECK)
 
