@@ -249,18 +249,21 @@ GpuSystem::tickMemory()
 {
     {
         DCL1_PROF_SCOPE(Dram);
-        for (std::uint32_t c = 0; c < sys_.numChannels; ++c) {
-            channels_[c]->tick(cycle_);
-            while (auto done = channels_[c]->takeCompleted(cycle_)) {
+        for (auto &ch : channels_)
+            ch->tick(cycle_);
+    }
+    {
+        // Channels never interact, so filling the slices channel by
+        // channel after every channel ticked keeps the fill order.
+        DCL1_PROF_SCOPE(L2);
+        for (auto &ch : channels_) {
+            while (auto done = ch->takeCompleted(cycle_)) {
                 const SliceId s = (*done)->slice;
                 if (s >= slices_.size())
                     panic("DRAM reply with bad slice %u", s);
                 slices_[s]->onDramReply(std::move(*done), cycle_);
             }
         }
-    }
-    {
-        DCL1_PROF_SCOPE(L2);
         for (auto &slice : slices_)
             slice->tick(cycle_);
     }
@@ -517,7 +520,6 @@ GpuSystem::busy()
 bool
 GpuSystem::drain(Cycle max_cycles)
 {
-    draining_ = true;
     DCL1_PROF_SCOPE(Drain);
     for (auto &core : cores_)
         core->setIssueEnabled(false);
@@ -528,7 +530,6 @@ GpuSystem::drain(Cycle max_cycles)
     }
     for (auto &core : cores_)
         core->setIssueEnabled(true);
-    draining_ = false;
     const bool drained = !busy();
     if (drained) {
         // With the machine empty, every registered request must have
@@ -658,16 +659,9 @@ GpuSystem::registerTimelineProbes()
     };
     tl.addRatio("l1_miss_rate", l1_misses, l1_accesses);
 
-    // Interval replication ratio, through the dotted-path stat lookup
-    // the tracker registers its counters under.
-    const stats::Scalar *rep =
-        tracker_->statGroup().findScalar("replicated_misses");
-    const stats::Scalar *all = tracker_->statGroup().findScalar("misses");
-    if (rep && all) {
-        tl.addRatio(
-            "repl_ratio", [rep] { return rep->value(); },
-            [all] { return all->value(); });
-    }
+    tl.addRatio(
+        "repl_ratio", [this] { return tracker_->replicatedMisses(); },
+        [this] { return tracker_->totalMisses(); });
 
     tl.addRatio(
         "l2_miss_rate",
@@ -705,19 +699,13 @@ GpuSystem::registerTimelineProbes()
         [this] {
             std::uint64_t sum = 0;
             for (auto &ch : channels_)
-                if (const auto *h = ch->statGroup().findScalar("row_hits"))
-                    sum += h->value();
+                sum += ch->rowHits();
             return sum;
         },
         [this] {
             std::uint64_t sum = 0;
-            for (auto &ch : channels_) {
-                if (const auto *h = ch->statGroup().findScalar("row_hits"))
-                    sum += h->value();
-                if (const auto *m =
-                        ch->statGroup().findScalar("row_misses"))
-                    sum += m->value();
-            }
+            for (auto &ch : channels_)
+                sum += ch->rowHits() + ch->rowMisses();
             return sum;
         });
     tl.addPerCycle("dram_access", [this] {

@@ -287,7 +287,6 @@ class GpuSystem
 
     Cycle cycle_ = 0;
     Cycle statStart_ = 0;
-    bool draining_ = false;
 };
 
 } // namespace dcl1::core
