@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <tuple>
+
 #include "core/design.hh"
 #include "power/cache_model.hh"
 #include "power/energy_model.hh"
@@ -94,6 +97,91 @@ TEST(XbarModel, FlitEnergyGrowsWithSizeAndLength)
     XbarGeometry small{8, 4, 1, 1.0, 3.3, 1};
     XbarGeometry big{80, 32, 1, 0.5, 12.3, 2};
     EXPECT_GT(model.flitEnergyPj(big), model.flitEnergyPj(small));
+}
+
+/**
+ * Every preset's priced interconnect, pinned: the crossbars as a
+ * multiset of (inputs, outputs, count, clock ratio, link mm, level),
+ * and XbarModel's area and static power as exact doubles. Figs. 6, 12
+ * and 18 and Table I read these numbers.
+ */
+TEST(XbarModel, PresetInventoriesArePinned)
+{
+    using Entry = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t,
+                             double, double, std::uint32_t>;
+    struct Pin
+    {
+        const char *design;
+        std::multiset<Entry> inventory;
+        double areaMm2;
+        double staticPowerW;
+    };
+    const Pin pins[] = {
+        {"Baseline",
+         {{80, 32, 1, 0.5, 12.3, 2}, {32, 80, 1, 0.5, 12.3, 2}},
+         0x1.ffff29406b2a2p-1, 0x1.9b3d07c84b5ddp+0},
+        {"CDXBar",
+         {{8, 4, 10, 0.5, 3.3, 1}, {4, 8, 10, 0.5, 3.3, 1},
+          {40, 32, 1, 0.5, 12.3, 2}, {32, 40, 1, 0.5, 12.3, 2}},
+         0x1.9f1e3dd8a8a32p-1, 0x1.a36e2eb1c432ep+0},
+        {"CDXBar+2xNoC1",
+         {{8, 4, 10, 1.0, 3.3, 1}, {4, 8, 10, 1.0, 3.3, 1},
+          {40, 32, 1, 0.5, 12.3, 2}, {32, 40, 1, 0.5, 12.3, 2}},
+         0x1.9f1e3dd8a8a32p-1, 0x1.a36e2eb1c432ep+0},
+        {"CDXBar+2xNoC",
+         {{8, 4, 10, 1.0, 3.3, 1}, {4, 8, 10, 1.0, 3.3, 1},
+          {40, 32, 1, 1.0, 12.3, 2}, {32, 40, 1, 1.0, 12.3, 2}},
+         0x1.9f1e3dd8a8a32p-1, 0x1.a36e2eb1c432ep+0},
+        {"Pr80",
+         {{1, 1, 80, 0.5, 3.3, 1}, {1, 1, 80, 0.5, 3.3, 1},
+          {80, 32, 1, 0.5, 12.3, 2}, {32, 80, 1, 0.5, 12.3, 2}},
+         0x1.0f97826824ac8p+0, 0x1.d07c84b5dcc64p+0},
+        {"Pr40",
+         {{2, 1, 40, 0.5, 3.3, 1}, {1, 2, 40, 0.5, 3.3, 1},
+          {40, 32, 1, 0.5, 12.3, 2}, {32, 40, 1, 0.5, 12.3, 2}},
+         0x1.774e1536c8e9ep-1, 0x1.8adab9f559b3ep+0},
+        {"Pr20",
+         {{4, 1, 20, 0.5, 3.3, 1}, {1, 4, 20, 0.5, 3.3, 1},
+          {20, 32, 1, 0.5, 12.3, 2}, {32, 20, 1, 0.5, 12.3, 2}},
+         0x1.dbe64543d6ef6p-2, 0x1.141205bc01a37p+0},
+        {"Pr10",
+         {{8, 1, 10, 0.5, 3.3, 1}, {1, 8, 10, 0.5, 3.3, 1},
+          {10, 32, 1, 0.5, 12.3, 2}, {32, 10, 1, 0.5, 12.3, 2}},
+         0x1.528b52aef97d3p-2, 0x1.b15b573eab369p-1},
+        {"Sh40",
+         {{80, 40, 1, 0.5, 3.3, 1}, {40, 80, 1, 0.5, 3.3, 1},
+          {40, 32, 1, 0.5, 12.3, 2}, {32, 40, 1, 0.5, 12.3, 2}},
+         0x1.be7012b792a8ep+0, 0x1.652bd3c361134p+1},
+        {"Sh40+C5",
+         {{16, 8, 5, 0.5, 3.3, 1}, {8, 16, 5, 0.5, 3.3, 1},
+          {5, 4, 8, 0.5, 12.3, 2}, {4, 5, 8, 0.5, 12.3, 2}},
+         0x1.1a686112698f2p-1, 0x1.5182a9930be0fp+0},
+        {"Sh40+C10",
+         {{8, 4, 10, 0.5, 3.3, 1}, {4, 8, 10, 0.5, 3.3, 1},
+          {10, 8, 4, 0.5, 12.3, 2}, {8, 10, 4, 0.5, 12.3, 2}},
+         0x1.ffbb36a2537c8p-2, 0x1.41205bc01a37p+0},
+        {"Sh40+C20",
+         {{4, 2, 20, 0.5, 3.3, 1}, {2, 4, 20, 0.5, 3.3, 1},
+          {20, 16, 2, 0.5, 12.3, 2}, {16, 20, 2, 0.5, 12.3, 2}},
+         0x1.1a686112698f1p-1, 0x1.5182a9930be0ep+0},
+        {"Sh40+C10+Boost",
+         {{8, 4, 10, 1.0, 3.3, 1}, {4, 8, 10, 1.0, 3.3, 1},
+          {10, 8, 4, 0.5, 12.3, 2}, {8, 10, 4, 0.5, 12.3, 2}},
+         0x1.ffbb36a2537c8p-2, 0x1.41205bc01a37p+0},
+    };
+    const SystemConfig sys;
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(pin.design);
+        const auto inv = crossbarInventory(designByName(pin.design), sys);
+        std::multiset<Entry> got;
+        for (const XbarGeometry &g : inv)
+            got.insert({g.numInputs, g.numOutputs, g.count, g.clockRatio,
+                        g.linkMm, g.level});
+        EXPECT_EQ(got, pin.inventory);
+        const NocCost cost = XbarModel().cost(inv);
+        EXPECT_EQ(cost.areaMm2, pin.areaMm2);
+        EXPECT_EQ(cost.staticPowerW, pin.staticPowerW);
+    }
 }
 
 TEST(CacheModel, Fig18bQueueOverhead)
