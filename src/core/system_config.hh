@@ -27,6 +27,9 @@ namespace dcl1::core
  */
 inline constexpr std::uint32_t kMaxPlatformUnits = 4096;
 
+/** The NoC clock as a fraction of the core clock (700 MHz / 1400 MHz). */
+inline constexpr double kNocClockRatio = 0.5;
+
 /** See file comment. */
 struct SystemConfig
 {
@@ -67,9 +70,6 @@ struct SystemConfig
     /** Warp scheduler (GPGPU-Sim lrr vs gto). */
     gpucore::WarpSched warpScheduler =
         gpucore::WarpSched::LooseRoundRobin;
-
-    /** Baseline NoC clock as a fraction of the core clock (700 MHz). */
-    double nocClockRatio = 0.5;
 
     /** DC-L1 node queue depth (Q1..Q4; paper: four 128 B entries). */
     std::uint32_t nodeQueueCap = 4;
