@@ -85,6 +85,7 @@ LatencyAttribution::onCreate(ReqTelemetry &t, Cycle now)
     t.curSeg = static_cast<std::uint8_t>(Seg::Issue);
     t.lastStamp = now;
     t.segCycles.fill(0);
+    inFlight_.emplace_hint(inFlight_.end(), t.sampleId, &t);
 }
 
 void
@@ -101,7 +102,17 @@ LatencyAttribution::onRetire(ReqTelemetry &t, Cycle now)
         total += t.segCycles[i];
     }
     totalDist_.sample(total);
+    inFlight_.erase(t.sampleId);
     t.sampleId = 0; // a request retires exactly once
+}
+
+void
+LatencyAttribution::closeOpenSpans(Cycle now)
+{
+    for (const auto &open : inFlight_) {
+        ReqTelemetry &t = *open.second;
+        tlmEnterSlow(t, static_cast<Seg>(t.curSeg), now);
+    }
 }
 
 void

@@ -18,6 +18,10 @@ catch a malformed emitter before a human tries to plot the data:
     - every event has ph in {"X", "C"}, integer ts >= 0
     - "X" events carry a name and an integer dur >= 0
     - "C" events carry args.value
+    - the slices of each request track (pid, tid) tile time: sorted by
+      ts, each starts where the one before it ends, with no gap and no
+      overlap (the host-phase track, tid 0xD0C1, nests by design and
+      is skipped)
 
   stats JSON (--stats FILE ...):
     - parses as one object with a "name" field; every "dists" entry
@@ -31,6 +35,8 @@ emitted nothing is a wiring bug, not a quiet success.
 import argparse
 import json
 import sys
+
+HOST_PHASE_TID = 0xD0C1
 
 
 def fail(msg):
@@ -100,6 +106,7 @@ def check_trace(path):
     if not isinstance(events, list):
         fail(f"{path}: no traceEvents list")
     slices = counters = 0
+    tracks = {}
     for i, e in enumerate(events):
         ph = e.get("ph")
         if ph not in ("X", "C"):
@@ -113,14 +120,26 @@ def check_trace(path):
             dur = e.get("dur")
             if not isinstance(dur, int) or dur < 0:
                 fail(f"{path}: event {i}: bad dur {dur!r}")
+            if e.get("tid") != HOST_PHASE_TID:
+                key = (e.get("pid"), e.get("tid"))
+                tracks.setdefault(key, []).append((ts, dur))
             slices += 1
         else:
             value = e.get("args", {}).get("value")
             if not isinstance(value, (int, float)):
                 fail(f"{path}: event {i}: counter without args.value")
             counters += 1
-    print(f"check_telemetry: {path}: {slices} slice(s), "
-          f"{counters} counter sample(s) OK")
+    for (pid, tid), spans in tracks.items():
+        spans.sort()
+        for (ts, dur), (nxt, _) in zip(spans, spans[1:]):
+            if nxt != ts + dur:
+                what = "gap" if nxt > ts + dur else "overlap"
+                fail(f"{path}: track pid {pid} tid {tid}: {what} "
+                     f"between the slice at {ts} (dur {dur}) and the "
+                     f"one at {nxt}")
+    print(f"check_telemetry: {path}: {slices} slice(s) on "
+          f"{len(tracks)} request track(s), {counters} counter "
+          f"sample(s) OK")
 
 
 def check_dists(path, node, prefix=""):
