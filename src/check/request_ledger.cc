@@ -121,8 +121,6 @@ RequestLedger::onTransition(const mem::MemRequest &req, ReqStage to)
               req.isReply ? "reply" : "request");
     record(1, req.chkSeq, req.addr, e.stage, to);
     e.stage = to;
-    ++e.hops;
-    ++transitions_;
 }
 
 void

@@ -115,7 +115,6 @@ class RequestLedger
     /// @{
     std::uint64_t registered() const { return registered_; }
     std::uint64_t retired() const { return retiredCount_; }
-    std::uint64_t transitions() const { return transitions_; }
     /// @}
 
     /** Events kept in the forensic ring (see recentEventsJson). */
@@ -136,7 +135,6 @@ class RequestLedger
     {
         ReqStage stage = ReqStage::Issued;
         Cycle createdAt = 0;
-        std::uint32_t hops = 0;
     };
 
     /** One ring slot: a lifecycle event for the crash-forensics tail. */
@@ -157,7 +155,6 @@ class RequestLedger
     std::uint64_t nextSeq_ = 0;
     std::uint64_t registered_ = 0;
     std::uint64_t retiredCount_ = 0;
-    std::uint64_t transitions_ = 0;
     // Keyed lookups only; never iterated on a ticked path.
     std::unordered_map<std::uint64_t, Entry> entries_;
     std::array<Event, kEventRing> events_{};

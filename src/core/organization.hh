@@ -30,7 +30,7 @@ class Organization
 {
   public:
     Organization(const DesignConfig &design, const SystemConfig &sys)
-        : numCores_(sys.numCores), numNodes_(design.numNodes),
+        : numNodes_(design.numNodes),
           clusters_(design.clusters),
           nodesPerCluster_(design.nodesPerCluster()),
           coresPerCluster_(design.coresPerCluster(sys)),
@@ -91,7 +91,6 @@ class Organization
     }
 
   private:
-    std::uint32_t numCores_;
     std::uint32_t numNodes_;
     std::uint32_t clusters_;
     std::uint32_t nodesPerCluster_;

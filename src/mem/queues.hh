@@ -18,8 +18,8 @@ namespace dcl1::mem
 {
 
 /**
- * A FIFO with a fixed capacity. Producers must check canPush() (or use
- * tryPush) so that full queues exert backpressure instead of growing.
+ * A FIFO with a fixed capacity. Producers must check canPush() so that
+ * full queues exert backpressure instead of growing.
  */
 template <typename T>
 class BoundedQueue
@@ -40,16 +40,6 @@ class BoundedQueue
         DCL1_ASSERT(!full(),
                     "BoundedQueue: push beyond capacity %zu", capacity_);
         q_.push_back(std::move(v));
-    }
-
-    /** @return true and consume @p v if space was available. */
-    bool
-    tryPush(T &v)
-    {
-        if (full())
-            return false;
-        q_.push_back(std::move(v));
-        return true;
     }
 
     /** Front element; queue must be non-empty. */

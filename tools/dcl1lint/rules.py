@@ -338,7 +338,7 @@ class TickPurityRule:
     tick()/access()/fill() run once per simulated cycle or request;
     allocation there is both a perf hazard and, for node-based
     containers, an address-layout source that can leak into iteration
-    order. BoundedQueue::push/tryPush are exempt: they model a hardware
+    order. BoundedQueue::push is exempt: it models a hardware
     enqueue into a capacity-checked structure whose memory is bounded
     by construction.
     """
