@@ -384,8 +384,10 @@ LiteCore::retire(mem::MemRequest &req, Cycle now)
     if (tlm_)
         tlm_->onRetire(req.tlm, now);
     readLatencySum_ += now - req.createdAt;
-    // DC-L1 bypass and atomic replies never pass an L1 and leave
-    // l1ServiceAt unset.
+    // Every cache bank that takes a request stamps l1ServiceAt, the L2
+    // included. So an L1 miss's primary, which is also its L2 fetch,
+    // and a DC-L1 bypass or atomic request, which reaches only the L2,
+    // count their wait up to L2 service here.
     if (req.l1ServiceAt >= req.createdAt)
         preServiceSum_ += req.l1ServiceAt - req.createdAt;
     ++readsCompleted_;
