@@ -88,7 +88,7 @@ main()
                      const workload::AppInfo &app) {
         const exec::JobResult &r =
             results.at(cellIndex.at(tag + "/" + app.params.name));
-        if (!r.ok)
+        if (!r.ok())
             panic("ablation cell %s/%s failed: %s", tag.c_str(),
                   app.params.name.c_str(), r.error.c_str());
         return r.metrics.ipc;

@@ -78,9 +78,9 @@ Harness::prefetch(const std::vector<core::DesignConfig> &designs,
 
     for (const auto &[index, key] : wanted) {
         const exec::JobResult &r = results[index];
-        if (!r.ok)
+        if (!r.ok())
             fatal("%s failed (%s): %s", r.label.c_str(),
-                  exec::failureKindName(r.kind), r.error.c_str());
+                  exec::outcomeName(r.outcome), r.error.c_str());
         results_.emplace(key, r.metrics);
     }
 }
@@ -102,12 +102,6 @@ runJobSet(const exec::JobSet &set)
     }
     exec::ProgressSink progress;
     runner.addSink(&progress);
-    std::unique_ptr<exec::JsonlSink> jsonl;
-    if (!runner.options().jsonlPath.empty()) {
-        jsonl = std::make_unique<exec::JsonlSink>(
-            runner.options().jsonlPath);
-        runner.addSink(jsonl.get());
-    }
     return runner.run(set.specs());
 }
 

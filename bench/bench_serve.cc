@@ -64,7 +64,7 @@ main()
     }
     const std::vector<exec::JobResult> results = runner.run(specs);
     for (const exec::JobResult &r : results)
-        if (!r.ok)
+        if (!r.ok())
             fatal("serve bench cell %s failed: %s", r.label.c_str(),
                   r.error.c_str());
 

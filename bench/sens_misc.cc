@@ -77,9 +77,9 @@ main()
         const auto results = runJobSet(set);
         double sum = 0;
         for (const auto &[bi, di] : cells) {
-            if (!results[bi].ok || !results[di].ok)
+            if (!results[bi].ok() || !results[di].ok())
                 panic("120-core run failed: %s",
-                      (results[bi].ok ? results[di] : results[bi])
+                      (results[bi].ok() ? results[di] : results[bi])
                           .error.c_str());
             sum += results[di].metrics.ipc / results[bi].metrics.ipc;
         }

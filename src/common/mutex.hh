@@ -47,12 +47,6 @@ class DCL1_CAPABILITY("mutex") Mutex
         mutex_.unlock();
     }
 
-    bool
-    tryLock() DCL1_TRY_ACQUIRE(true)
-    {
-        return mutex_.try_lock();
-    }
-
   private:
     std::mutex mutex_;
 };

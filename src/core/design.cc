@@ -171,8 +171,8 @@ buildNoc(const DesignConfig &design, const SystemConfig &sys)
             .clusters = kCdxClusters,
             .perCluster = sys.numCores / kCdxClusters,
             .trunksPerCluster = kCdxTrunksPerCluster, .globalPorts = l,
-            .localClockRatio = design.cdxLocalClockRatio,
-            .globalClockRatio = design.cdxGlobalClockRatio};
+            .localClockRatio = design.noc1ClockRatio,
+            .globalClockRatio = noc2};
         nets.push_back(std::make_unique<noc::CdXbarNet>(req));
 
         noc::CdxParams rep = req;
@@ -298,9 +298,9 @@ cdxbarDesign(bool boost_local, bool boost_global)
     else if (boost_local)
         d.name += "+2xNoC1";
     if (boost_local)
-        d.cdxLocalClockRatio = 2.0 * kNocClockRatio;
+        d.noc1ClockRatio = 2.0 * kNocClockRatio;
     if (boost_global)
-        d.cdxGlobalClockRatio = 2.0 * kNocClockRatio;
+        d.noc2ClockRatio = 2.0 * kNocClockRatio;
     return d;
 }
 

@@ -48,9 +48,12 @@ struct DesignConfig
     std::uint32_t clusters = 10; ///< Z (1 = fully shared, Y = private)
     /// @}
 
-    /** NoC#1 clock ratio (doubled by the Boost variant). */
+    /** Level-1 (core-side) crossbar clock ratio: DC-L1's NoC#1 and
+     *  CDXBar's local stages (doubled by the Boost variants). */
     double noc1ClockRatio = kNocClockRatio;
-    /** NoC#2 clock ratio (kept at baseline in the paper). */
+    /** Level-2 (memory-side) crossbar clock ratio: NoC#2, the
+     *  baseline crossbar and CDXBar's global stage (kept at baseline
+     *  in the paper). */
     double noc2ClockRatio = kNocClockRatio;
 
     /// @name Study knobs
@@ -65,12 +68,6 @@ struct DesignConfig
      * requested bytes, quadrupling NoC#1 reply serialization.
      */
     bool fullLineReplies = false;
-    /// @}
-
-    /// @name CdXbar stage clocks (topology == CdXbar)
-    /// @{
-    double cdxLocalClockRatio = kNocClockRatio;
-    double cdxGlobalClockRatio = kNocClockRatio;
     /// @}
 
     /** Cores per DC-L1 node (aggregation factor). */

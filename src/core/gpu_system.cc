@@ -103,7 +103,7 @@ GpuSystem::l2BankParams() const
     p.targetsPerMshr = sys_.l2TargetsPerMshr;
     p.downstreamCap = 16;
     p.policy = mem::WritePolicy::WriteBack;
-    p.repl = sys_.l2Repl;
+    p.repl = mem::ReplPolicy::Lru;
     p.tlmSeg = stats::Seg::L2;
     return p;
 }

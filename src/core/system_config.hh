@@ -58,9 +58,8 @@ struct SystemConfig
     std::uint32_t l2TargetsPerMshr = 16;
     /// @}
 
-    /** Cache replacement policies (ablation knob). */
+    /** L1 replacement policy (ablation knob; L2 slices use LRU). */
     mem::ReplPolicy l1Repl = mem::ReplPolicy::Lru;
-    mem::ReplPolicy l2Repl = mem::ReplPolicy::Lru;
 
     /** L1/DC-L1 write policy (the paper fixes write-evict; the
      *  write-back option is a *timing* ablation — no coherence is

@@ -84,8 +84,10 @@ class AppendLog
 
     /**
      * Append @p line (a trailing newline is added) with one write and
-     * an immediate flush. @return false (after warning once) when the
-     * file cannot be opened or written.
+     * an immediate flush. The first record after opening a file whose
+     * last line is torn starts with a newline, in the same write.
+     * @return false (after warning once) when the file cannot be
+     * opened or written.
      */
     bool appendLine(const std::string &line) DCL1_EXCLUDES(mutex_);
 

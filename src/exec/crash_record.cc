@@ -85,15 +85,16 @@ writeCrashRecord(const std::string &dir, const JobResult &result,
         ensureDirectory(dir);
         AtomicFileWriter out(dir + "/" +
                              crashRecordName(result.index, result.label));
+        // "attempts":1 as in the WAL (see JobRecord::toJsonLine).
         out.stream() << "{"
                      << csprintf(
                             "\"job\":%zu,\"label\":\"%s\",\"kind\":"
-                            "\"%s\",\"attempts\":%u,\"quarantined\":%s,"
+                            "\"%s\",\"attempts\":1,\"quarantined\":%s,"
                             "\"error\":\"%s\"",
                             result.index,
                             json::escape(result.label).c_str(),
-                            failureKindName(result.kind), result.attempts,
-                            result.quarantined ? "true" : "false",
+                            outcomeName(result.outcome),
+                            result.quarantined() ? "true" : "false",
                             json::escape(result.error).c_str());
         if (!context.empty())
             out.stream() << "," << context;

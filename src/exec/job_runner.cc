@@ -45,17 +45,21 @@ samePath(const std::string &a, const std::string &b)
 } // anonymous namespace
 
 const char *
-failureKindName(FailureKind kind)
+outcomeName(Outcome outcome)
 {
-    switch (kind) {
-      case FailureKind::None:
+    switch (outcome) {
+      case Outcome::Ok:
         return "none";
-      case FailureKind::SimBug:
+      case Outcome::SimBug:
         return "sim-bug";
-      case FailureKind::ConfigError:
+      case Outcome::ConfigError:
         return "config-error";
-      case FailureKind::WorkerException:
+      case Outcome::WorkerException:
         return "worker-exception";
+      case Outcome::Skipped:
+        return "skipped";
+      case Outcome::Deferred:
+        return "deferred";
     }
     return "unknown";
 }
@@ -81,6 +85,8 @@ ExecOptions::fromEnv()
 
 JobRunner::JobRunner(ExecOptions opts) : opts_(std::move(opts))
 {
+    if (!opts_.jsonlPath.empty())
+        sinks_.add(&jsonl_.emplace(opts_.jsonlPath));
 }
 
 void
@@ -119,39 +125,35 @@ JobRunner::run(const std::vector<JobSpec> &specs)
     const std::size_t n = specs.size();
     const unsigned workers = resolveWorkers(n);
 
+    // Every result starts Skipped, which a job the pool never reaches
+    // (the batch was interrupted first) keeps.
     std::vector<JobResult> results(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        results[i].index = i;
+        results[i].label = specs[i].label;
+        results[i].key = specs[i].key;
+    }
 
     const HostClock::time_point batch_start = HostClock::now();
     sinks_.runStart(n, workers);
 
-    // Resume prefill: jobs whose key already carries a terminal record
-    // (ok or quarantined — worker exceptions are never recorded) are
-    // satisfied from the manifest without simulating. Runs in index
-    // order on the calling thread, so resumed output is deterministic.
-    // Every other job joins the queue, in index order.
+    // Resume prefill: jobs whose key already carries a record (the
+    // manifest holds only ok and quarantined ones) are satisfied from
+    // it without simulating. Runs in index order on the calling
+    // thread, so resumed output is deterministic. Every other job
+    // joins the queue, in index order.
     std::vector<std::size_t> queue;
     queue.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         const JobRecord *rec = manifest_ && !specs[i].key.empty()
                                    ? manifest_->find(specs[i].key)
                                    : nullptr;
-        if (!rec || (!rec->ok && !rec->quarantined)) {
+        if (!rec) {
             queue.push_back(i);
             continue;
         }
-        JobResult r;
-        r.index = i;
-        r.label = specs[i].label;
-        r.key = specs[i].key;
-        r.ok = rec->ok;
-        r.error = rec->error;
-        r.kind = rec->kind;
-        r.attempts = rec->attempts;
-        r.quarantined = rec->quarantined;
-        r.resumed = true;
-        r.metrics = rec->metrics;
-        r.timelinePath = rec->timeline;
-        results[i] = std::move(r);
+        static_cast<JobRecord &>(results[i]) = *rec;
+        results[i].resumed = true;
         sinks_.jobDone(results[i]);
     }
 
@@ -164,11 +166,7 @@ JobRunner::run(const std::vector<JobSpec> &specs)
     // of results[index], so workers never touch the same element.
     auto execute = [&](std::size_t index, unsigned worker) {
         const JobSpec &spec = specs[index];
-
-        JobResult r;
-        r.index = index;
-        r.label = spec.label;
-        r.key = spec.key;
+        JobResult &r = results[index];
         r.worker = worker;
 
         // Fleet worker: only the process that claims a cell runs it.
@@ -176,16 +174,15 @@ JobRunner::run(const std::vector<JobSpec> &specs)
         // claimant publishes it, or the merge run does if it died.
         if (claimCells_ && !spec.key.empty() &&
             !manifest_->claim(spec.key)) {
-            r.deferred = true;
-            results[index] = std::move(r);
-            sinks_.jobDone(results[index]);
+            r.outcome = Outcome::Deferred;
+            sinks_.jobDone(r);
             return;
         }
 
         sinks_.jobStart(index, spec.label, worker);
         const HostClock::time_point job_start = HostClock::now();
 
-        JobContext ctx(index, worker);
+        JobContext ctx(index);
         std::unique_ptr<prof::Profiler> profiler;
         if (opts_.profile)
             profiler = std::make_unique<prof::Profiler>();
@@ -193,23 +190,20 @@ JobRunner::run(const std::vector<JobSpec> &specs)
             prof::TlsGuard prof_guard(profiler.get());
             SimErrorTrap trap;
             r.metrics = spec.fn(ctx);
-            r.ok = true;
+            r.outcome = Outcome::Ok;
         } catch (const SimAbort &e) {
             r.error = e.what();
-            r.kind = e.isPanic ? FailureKind::SimBug
-                               : FailureKind::ConfigError;
             // Deterministic: the simulator is a pure function of its
             // configuration, so running it again cannot help.
-            r.quarantined = true;
+            r.outcome = e.isPanic ? Outcome::SimBug : Outcome::ConfigError;
         } catch (const std::exception &e) {
             r.error = e.what();
-            r.kind = FailureKind::WorkerException;
+            r.outcome = Outcome::WorkerException;
         } catch (...) {
             r.error = "unknown exception";
-            r.kind = FailureKind::WorkerException;
+            r.outcome = Outcome::WorkerException;
         }
-        r.attempts = 1;
-        r.timelinePath = ctx.timelinePath();
+        r.timeline = ctx.timelinePath();
         if (profiler) {
             r.prof = profiler->report();
             r.prof.wallNs = static_cast<std::uint64_t>(
@@ -219,28 +213,15 @@ JobRunner::run(const std::vector<JobSpec> &specs)
         }
         r.wallMs = msSince(job_start);
 
-        if (!r.ok && !crash_dir.empty())
+        if (!r.ok() && !crash_dir.empty())
             writeCrashRecord(crash_dir, r, ctx.crashContext());
 
-        // A worker exception leaves no record, so the next --resume
-        // (or fleet merge) runs the job again.
-        if (manifest_ && !spec.key.empty() && (r.ok || r.quarantined)) {
-            JobRecord rec;
-            rec.key = spec.key;
-            rec.label = spec.label;
-            rec.ok = r.ok;
-            rec.quarantined = r.quarantined;
-            rec.attempts = r.attempts;
-            rec.kind = r.kind;
-            rec.error = r.error;
-            rec.metrics = r.metrics;
-            rec.timeline = r.timelinePath;
-            // RunManifest::append is internally synchronized.
-            manifest_->append(rec);
-        }
+        // Internally synchronized; a worker exception leaves no
+        // record, so the next --resume (or fleet merge) runs it again.
+        if (manifest_)
+            manifest_->append(r);
 
-        results[index] = std::move(r);
-        sinks_.jobDone(results[index]);
+        sinks_.jobDone(r);
     };
 
     // One shared cursor over the queue: each job is taken by exactly
@@ -263,19 +244,7 @@ JobRunner::run(const std::vector<JobSpec> &specs)
     worker_loop(0);
     for (std::thread &t : threads)
         t.join();
-
-    // Anything still pending after the pool drained was cut off by the
-    // interrupt: mark it skipped so consumers can tell "never ran"
-    // apart from "ran and failed".
     const bool interrupted = interruptRequested();
-    for (const std::size_t i : queue) {
-        if (results[i].attempts > 0 || results[i].deferred)
-            continue;
-        results[i].index = i;
-        results[i].label = specs[i].label;
-        results[i].key = specs[i].key;
-        results[i].skipped = true;
-    }
 
     RunSummary summary;
     summary.totalJobs = n;
@@ -285,20 +254,18 @@ JobRunner::run(const std::vector<JobSpec> &specs)
     std::vector<std::size_t> by_time(n);
     for (std::size_t i = 0; i < n; ++i) {
         by_time[i] = i;
-        summary.cpuMs += results[i].wallMs;
-        if (results[i].skipped) {
+        const JobResult &r = results[i];
+        summary.cpuMs += r.wallMs;
+        if (r.outcome == Outcome::Skipped) {
             ++summary.skippedJobs;
-            continue;
-        }
-        if (results[i].deferred) {
+        } else if (r.outcome == Outcome::Deferred) {
             ++summary.deferredJobs;
-            continue;
-        }
-        if (results[i].resumed)
-            ++summary.resumedJobs;
-        if (!results[i].ok) {
-            ++summary.failedJobs;
-            if (results[i].quarantined)
+        } else {
+            if (r.resumed)
+                ++summary.resumedJobs;
+            if (!r.ok())
+                ++summary.failedJobs;
+            if (r.quarantined())
                 ++summary.quarantinedJobs;
         }
     }

@@ -19,7 +19,7 @@
  * inside the simulated machine (and any C++ exception) are captured
  * into the job's JobResult::error instead of terminating the process;
  * the remaining jobs keep running. The failure is classified
- * (FailureKind): panic() and fatal() are deterministic — re-running an
+ * (Outcome): panic() and fatal() are deterministic — re-running an
  * identical pure function cannot help — so those jobs are quarantined.
  * Any other exception leaves a failed job with no durable record, and
  * a later --resume runs it again. The engine never re-runs a job
@@ -31,11 +31,11 @@
  * attachManifest() couples a batch to a RunManifest write-ahead log:
  * jobs whose key already carries an ok/quarantined record are satisfied
  * from the log without simulating (JobResult::resumed), and every newly
- * finished ok/quarantined job is appended before the batch moves on.
- * This is the only retry: a resume runs every job without a record.
- * SIGINT (see exec/interrupt.hh) drains in-flight jobs, marks the rest
- * skipped, and finalizes the manifest as "interrupted" so the same
- * command line can resume later.
+ * finished job is passed to the log, which keeps the ok/quarantined
+ * ones, before the batch moves on. This is the only retry: a resume
+ * runs every job without a record. SIGINT (see exec/interrupt.hh)
+ * drains in-flight jobs, leaves the rest Skipped, and finalizes the
+ * manifest as "interrupted" so the same command line can resume later.
  *
  * Determinism
  * -----------
@@ -48,6 +48,7 @@
 #ifndef DCL1_EXEC_JOB_RUNNER_HH
 #define DCL1_EXEC_JOB_RUNNER_HH
 
+#include <optional>
 #include <vector>
 
 #include "exec/job.hh"
@@ -62,6 +63,7 @@ class RunManifest;
 class JobRunner
 {
   public:
+    /** With ExecOptions::jsonlPath set, the runner writes that log. */
     explicit JobRunner(ExecOptions opts = {});
 
     /** Attach an observer (not owned; must outlive run()). */
@@ -83,19 +85,18 @@ class JobRunner
     /**
      * Execute every spec; blocks until all are done. Results are
      * indexed like @p specs. Never throws for job failures — inspect
-     * JobResult::ok.
+     * JobResult::outcome.
      */
     std::vector<JobResult> run(const std::vector<JobSpec> &specs);
 
     /** Worker count the last/next run resolves to for @p num_jobs. */
     unsigned resolveWorkers(std::size_t num_jobs) const;
 
-    const ExecOptions &options() const { return opts_; }
-
   private:
     ExecOptions opts_;
     /** Serializes all sink callbacks (see SinkFanout). */
     SinkFanout sinks_;
+    std::optional<JsonlSink> jsonl_; ///< the ExecOptions::jsonlPath log
     RunManifest *manifest_ = nullptr;
     bool claimCells_ = false;
 };

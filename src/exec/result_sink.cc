@@ -62,22 +62,22 @@ void
 ProgressSink::onJobDone(const JobResult &result)
 {
     ++done_;
-    if (result.deferred) {
+    if (result.outcome == Outcome::Deferred) {
         std::fprintf(stderr,
                      "[exec] %4zu/%zu dfer %-28s (claimed elsewhere)\n",
                      done_, total_, result.label.c_str());
     } else if (result.resumed) {
         std::fprintf(stderr, "[exec] %4zu/%zu skip %-28s (resumed%s)\n",
                      done_, total_, result.label.c_str(),
-                     result.ok ? "" : ", quarantined");
-    } else if (result.ok) {
+                     result.ok() ? "" : ", quarantined");
+    } else if (result.ok()) {
         std::fprintf(stderr, "[exec] %4zu/%zu ok   %-28s %9.1f ms (w%u)\n",
                      done_, total_, result.label.c_str(), result.wallMs,
                      result.worker);
     } else {
         std::fprintf(stderr, "[exec] %4zu/%zu %s %-28s %9.1f ms (w%u): %s\n",
                      done_, total_,
-                     result.quarantined ? "QUAR" : "FAIL",
+                     result.quarantined() ? "QUAR" : "FAIL",
                      result.label.c_str(), result.wallMs, result.worker,
                      result.error.c_str());
     }
@@ -116,15 +116,15 @@ ProgressSink::onRunEnd(const RunSummary &summary,
     // without grepping jobs.jsonl.
     std::size_t timelines = 0;
     for (const JobResult &r : results)
-        if (!r.timelinePath.empty())
+        if (!r.timeline.empty())
             ++timelines;
     if (timelines > 0) {
         std::fprintf(stderr, "[exec] timelines (%zu):\n", timelines);
         for (const JobResult &r : results)
-            if (!r.timelinePath.empty())
+            if (!r.timeline.empty())
                 std::fprintf(stderr, "[exec]   %-28s %s%s\n",
-                             r.label.c_str(), r.timelinePath.c_str(),
-                             r.ok ? "" : " [partial]");
+                             r.label.c_str(), r.timeline.c_str(),
+                             r.ok() ? "" : " [partial]");
     }
     // Aggregate host-phase attribution over the profiled jobs: the
     // at-a-glance answer to "where did this sweep's wall time go?"
@@ -162,7 +162,7 @@ JsonlSink::JsonlSink(std::string path) : log_(std::move(path))
 void
 JsonlSink::onJobDone(const JobResult &result)
 {
-    if (result.skipped || result.deferred)
+    if (result.outcome == Outcome::Deferred)
         return;
     const core::RunMetrics &m = result.metrics;
     // Host phase profile rides along as one nested object so fleet
@@ -170,21 +170,21 @@ JsonlSink::onJobDone(const JobResult &result)
     const std::string prof_field =
         result.prof.enabled ? "\"prof\":" + result.prof.json() + ","
                             : std::string();
+    // "attempts":1 as in the WAL (see JobRecord::toJsonLine).
     log_.appendLine(csprintf(
         "{\"job\":%zu,\"label\":\"%s\",\"ok\":%s,\"resumed\":%s,"
-        "\"quarantined\":%s,\"kind\":\"%s\",\"attempts\":%u,"
+        "\"quarantined\":%s,\"kind\":\"%s\",\"attempts\":1,"
         "\"worker\":%u,%s"
         "\"wall_ms\":%.3f,\"cycles\":%llu,\"instructions\":%llu,"
         "\"ipc\":%.6f,\"error\":\"%s\",\"timeline\":\"%s\"}",
         result.index, json::escape(result.label).c_str(),
-        result.ok ? "true" : "false", result.resumed ? "true" : "false",
-        result.quarantined ? "true" : "false",
-        failureKindName(result.kind), result.attempts, result.worker,
-        prof_field.c_str(),
+        result.ok() ? "true" : "false", result.resumed ? "true" : "false",
+        result.quarantined() ? "true" : "false",
+        outcomeName(result.outcome), result.worker, prof_field.c_str(),
         result.wallMs, static_cast<unsigned long long>(m.cycles),
         static_cast<unsigned long long>(m.instructions), m.ipc,
         json::escape(result.error).c_str(),
-        json::escape(result.timelinePath).c_str()));
+        json::escape(result.timeline).c_str()));
 }
 
 void

@@ -105,7 +105,8 @@ class ProgressSink : public ResultSink
  * final summary record. Records ride an AppendLog — append mode, one
  * write + flush per record — so a killed sweep leaves every finished
  * record intact and never a torn line, and successive runs extend the
- * log instead of truncating it.
+ * log instead of truncating it. The JobRunner owns the one for
+ * ExecOptions::jsonlPath (--jsonl, DCL1_JOBS_LOG).
  */
 class JsonlSink : public ResultSink
 {

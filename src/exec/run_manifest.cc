@@ -95,13 +95,16 @@ buildSignature()
 std::string
 JobRecord::toJsonLine() const
 {
+    // "ok" and "quarantined" restate the kind for schema-1 readers.
+    // Every job runs once, so "attempts" is always 1; those readers
+    // require the member, so it stays until the schema drops it.
     return csprintf(
         "{\"key\":\"%s\",\"label\":\"%s\",\"ok\":%s,"
-        "\"quarantined\":%s,\"attempts\":%u,\"kind\":\"%s\","
+        "\"quarantined\":%s,\"attempts\":1,\"kind\":\"%s\","
         "\"metrics\":%s,\"error\":\"%s\",\"timeline\":\"%s\"}",
         json::escape(key).c_str(), json::escape(label).c_str(),
-        ok ? "true" : "false", quarantined ? "true" : "false", attempts,
-        failureKindName(kind), runMetricsJson(metrics).c_str(),
+        ok() ? "true" : "false", quarantined() ? "true" : "false",
+        outcomeName(outcome), runMetricsJson(metrics).c_str(),
         json::escape(error).c_str(), json::escape(timeline).c_str());
 }
 
@@ -110,25 +113,31 @@ JobRecord::fromJsonLine(const std::string &line, JobRecord &out)
 {
     json::Value v;
     std::string error, kind;
+    bool ok = false, quarantined = false;
     std::uint64_t attempts = 0;
     // "timeline" is absent in records from before the telemetry layer;
     // those jobs simply have no timeline to point at.
     if (!json::parse(line, v, error) || !v.get("key", out.key) ||
-        !v.get("label", out.label) || !v.get("ok", out.ok) ||
-        !v.get("quarantined", out.quarantined) ||
+        !v.get("label", out.label) || !v.get("ok", ok) ||
+        !v.get("quarantined", quarantined) ||
         !v.get("attempts", attempts) || attempts > UINT_MAX ||
         !v.getOptional("kind", kind) ||
         !v.getOptional("error", out.error) ||
         !v.getOptional("timeline", out.timeline))
         return false;
-    out.attempts = static_cast<unsigned>(attempts);
-    for (const auto k : {FailureKind::None, FailureKind::SimBug,
-                         FailureKind::ConfigError,
-                         FailureKind::WorkerException})
-        if (kind == failureKindName(k))
-            out.kind = k;
+    out.outcome = Outcome::Ok; // an absent or unknown kind reads "none"
+    for (const auto o : {Outcome::SimBug, Outcome::ConfigError,
+                         Outcome::WorkerException, Outcome::Skipped,
+                         Outcome::Deferred})
+        if (kind == outcomeName(o))
+            out.outcome = o;
+    // The writer derives both flags from the kind and records only
+    // terminal outcomes; any other line is not one of its records.
+    if (ok != out.ok() || quarantined != out.quarantined() ||
+        !(ok || quarantined))
+        return false;
     const json::Value *metrics = v.find("metrics");
-    return !out.ok || (metrics && readRunMetrics(*metrics, out.metrics));
+    return !ok || (metrics && readRunMetrics(*metrics, out.metrics));
 }
 
 RunManifest::RunManifest(std::string dir, std::string config)
@@ -230,7 +239,7 @@ RunManifest::find(const std::string &key) const
 void
 RunManifest::append(const JobRecord &record)
 {
-    if (record.key.empty())
+    if (record.key.empty() || !(record.ok() || record.quarantined()))
         return;
     MutexLock lock(mutex_);
     wal_.appendLine(record.toJsonLine());

@@ -61,31 +61,6 @@ bool parseRunMetricsJson(const std::string &text, core::RunMetrics &rm);
 /** Identity of the producing build (WAL schema + check mode). */
 std::string buildSignature();
 
-/** One completed-job WAL record. */
-struct JobRecord
-{
-    std::string key;
-    std::string label;
-    bool ok = false;
-    bool quarantined = false;
-    unsigned attempts = 1;
-    FailureKind kind = FailureKind::None;
-    std::string error;
-    core::RunMetrics metrics; ///< valid only when ok
-    std::string timeline;     ///< timeline JSONL path ("" = none)
-
-    /** One JSONL line. */
-    std::string toJsonLine() const;
-
-    /**
-     * Parse a toJsonLine() line; false unless the line is exactly one
-     * JSON object whose ok/quarantined are booleans, attempts an
-     * unsigned int and, for an ok record, metrics complete. Unknown
-     * members are ignored.
-     */
-    static bool fromJsonLine(const std::string &line, JobRecord &out);
-};
-
 /**
  * See file comment.
  *
@@ -116,7 +91,11 @@ class RunManifest
     const JobRecord *find(const std::string &key) const
         DCL1_EXCLUDES(mutex_);
 
-    /** Record a finished job (WAL append; crash-safe per record). */
+    /**
+     * Record a finished job (WAL append; crash-safe per record). Only
+     * keyed ok or quarantined records are durable: any other outcome
+     * is dropped, so a resume runs that job again.
+     */
     void append(const JobRecord &record) DCL1_EXCLUDES(mutex_);
 
     /**

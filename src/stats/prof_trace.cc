@@ -6,8 +6,7 @@ namespace dcl1::stats
 {
 
 void
-exportHostPhases(TraceExport &trace, const prof::Report &report,
-                 std::uint32_t track_id)
+exportHostPhases(TraceExport &trace, const prof::Report &report)
 {
     // cursor[d] is the next free host-ns offset for a depth-d slice;
     // entering a node resets cursor[d+1] to its own start so children
@@ -18,9 +17,8 @@ exportHostPhases(TraceExport &trace, const prof::Report &report,
         if (cursor.size() > d + 1)
             cursor.resize(d + 1);
         const std::uint64_t start = cursor[d];
-        trace.reqSlice(track_id, prof::phaseName(n.phase),
-                       Cycle{start / 1000},
-                       Cycle{(start + n.totalNs) / 1000});
+        trace.hostSlice(prof::phaseName(n.phase), start / 1000,
+                        (start + n.totalNs) / 1000);
         cursor[d] += n.totalNs;
         cursor.push_back(start);
     }

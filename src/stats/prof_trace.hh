@@ -8,7 +8,8 @@
  * aggregate, not an event log), so the export lays the tree out as a
  * flame chart: each phase becomes one slice whose span is its total
  * wall time, children packed left-to-right inside their parent. The
- * result reads like a profiler flame graph on a dedicated track.
+ * result reads like a profiler flame graph in the trace's host
+ * process, apart from the simulated tracks.
  */
 
 #ifndef DCL1_STATS_PROF_TRACE_HH
@@ -21,12 +22,11 @@ namespace dcl1::stats
 {
 
 /**
- * Append @p report's phase tree to @p trace as nested complete
- * events on track @p track_id (timestamps in microseconds of host
- * wall time, laid out flame-chart style from t=0).
+ * Append @p report's phase tree to @p trace as nested host slices
+ * (timestamps in microseconds of host wall time, laid out
+ * flame-chart style from t=0).
  */
-void exportHostPhases(TraceExport &trace, const prof::Report &report,
-                      std::uint32_t track_id = 0xD0C1u);
+void exportHostPhases(TraceExport &trace, const prof::Report &report);
 
 } // namespace dcl1::stats
 

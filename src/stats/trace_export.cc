@@ -20,6 +20,17 @@ TraceExport::TraceExport(std::uint32_t request_every,
 }
 
 void
+TraceExport::push(Event e)
+{
+    MutexLock lock(mutex_);
+    if (events_.size() >= maxEvents_) {
+        ++dropped_;
+        return;
+    }
+    events_.push_back(std::move(e));
+}
+
+void
 TraceExport::reqSlice(std::uint32_t sample_id, const char *seg,
                       Cycle begin, Cycle end)
 {
@@ -27,34 +38,20 @@ TraceExport::reqSlice(std::uint32_t sample_id, const char *seg,
     // ...), so the subset is deterministic and spread across the run.
     if ((sample_id - 1) % requestEvery_ != 0)
         return;
-    MutexLock lock(mutex_);
-    if (events_.size() >= maxEvents_) {
-        ++dropped_;
-        return;
-    }
-    Event e{};
-    e.isCounter = false;
-    e.tid = sample_id;
-    e.ts = begin;
-    e.dur = end - begin;
-    e.seg = seg;
-    events_.push_back(std::move(e));
+    push({kRequestPid, sample_id, begin, end - begin, seg, {}, 0.0});
+}
+
+void
+TraceExport::hostSlice(const char *phase, std::uint64_t begin_us,
+                       std::uint64_t end_us)
+{
+    push({kHostPid, 0, begin_us, end_us - begin_us, phase, {}, 0.0});
 }
 
 void
 TraceExport::counterEvent(const std::string &track, Cycle t, double value)
 {
-    MutexLock lock(mutex_);
-    if (events_.size() >= maxEvents_) {
-        ++dropped_;
-        return;
-    }
-    Event e{};
-    e.isCounter = true;
-    e.ts = t;
-    e.track = track;
-    e.value = value;
-    events_.push_back(std::move(e));
+    push({kCounterPid, 0, t, 0, nullptr, track, value});
 }
 
 void
@@ -67,13 +64,14 @@ TraceExport::writeJson(std::ostream &os) const
         if (!first)
             os << ",";
         first = false;
-        if (e.isCounter) {
+        if (e.pid == kCounterPid) {
             os << "{\"ph\":\"C\",\"pid\":2,\"tid\":0,\"name\":\""
                << e.track << "\",\"ts\":" << e.ts
                << ",\"args\":{\"value\":" << formatDouble(e.value)
                << "}}";
         } else {
-            os << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << e.tid
+            os << "{\"ph\":\"X\",\"pid\":" << e.pid
+               << ",\"tid\":" << e.tid
                << ",\"name\":\"" << e.seg << "\",\"ts\":" << e.ts
                << ",\"dur\":" << e.dur << "}";
         }

@@ -2,19 +2,23 @@
  * @file
  * Chrome trace-event export.
  *
- * Collects two kinds of events and serializes them as a catapult /
- * Perfetto-loadable JSON trace (chrome://tracing "trace event format"):
+ * Collects three kinds of events, one trace process (pid) each, and
+ * serializes them as a catapult / Perfetto-loadable JSON trace
+ * (chrome://tracing "trace event format"):
  *
- *  - "X" complete events: one slice per (sampled request, segment)
- *    span, emitted live by the latency-attribution slow path. Each
- *    sampled request gets its own tid so its lifecycle reads as one
- *    horizontal track.
- *  - "C" counter events: per-interval utilization tracks (queue
+ *  - pid 1, "X" complete events: one slice per (sampled request,
+ *    segment) span, emitted live by the latency-attribution slow path.
+ *    Each sampled request gets its own tid so its lifecycle reads as
+ *    one horizontal track.
+ *  - pid 2, "C" counter events: per-interval utilization tracks (queue
  *    depths, MSHR occupancy, ...) fed by the timeline sampler's hook.
+ *  - pid 3, "X" host-phase slices (stats/prof_trace.hh), added after
+ *    the run when host profiling is on.
  *
- * Timestamps are simulated cycles reported through the trace format's
- * microsecond field; absolute wall time is meaningless in a simulator
- * and never enters the file, so same-seed traces are byte-identical.
+ * Timestamps of the first two are simulated cycles reported through
+ * the trace format's microsecond field; wall time enters the file only
+ * as host-phase slices, so same-seed traces without them are
+ * byte-identical.
  *
  * The exporter is wired to the attribution slow path through a
  * thread_local sink pointer (tlsTraceSink), matching the engine's
@@ -60,6 +64,11 @@ class TraceExport
     void reqSlice(std::uint32_t sample_id, const char *seg, Cycle begin,
                   Cycle end) DCL1_EXCLUDES(mutex_);
 
+    /** One host-phase span [begin_us, end_us) of wall time; never
+     *  thinned. */
+    void hostSlice(const char *phase, std::uint64_t begin_us,
+                   std::uint64_t end_us) DCL1_EXCLUDES(mutex_);
+
     /** One counter-track sample at cycle @p t. */
     void counterEvent(const std::string &track, Cycle t, double value)
         DCL1_EXCLUDES(mutex_);
@@ -82,16 +91,27 @@ class TraceExport
     }
 
   private:
+    /** Trace process of each event kind (see file comment). */
+    enum Pid : std::uint32_t
+    {
+        kRequestPid = 1,
+        kCounterPid = 2,
+        kHostPid = 3,
+    };
+
     struct Event
     {
-        bool isCounter;
-        std::uint32_t tid;  ///< sample id for slices, 0 for counters
-        Cycle ts;
-        Cycle dur;          ///< slices only
+        Pid pid;
+        std::uint32_t tid;  ///< sample id for request slices, else 0
+        std::uint64_t ts;   ///< cycles; microseconds for host slices
+        std::uint64_t dur;  ///< slices only
         const char *seg;    ///< slices only (static string)
         std::string track;  ///< counters only
         double value;       ///< counters only
     };
+
+    /** Buffer @p e, or count it dropped once the buffer is full. */
+    void push(Event e) DCL1_EXCLUDES(mutex_);
 
     std::uint32_t requestEvery_;
     std::size_t maxEvents_;

@@ -86,6 +86,10 @@ TEST(Design, ValidateRejectsBadGeometry)
     d4.noc2ClockRatio = 0.0; // a clockless crossbar moves nothing
     EXPECT_EXIT(d4.validate(sys), ::testing::ExitedWithCode(1),
                 "clock ratios must be positive");
+    DesignConfig d5 = cdxbarDesign(false, false);
+    d5.noc1ClockRatio = 0.0; // CDXBar's local stages run on this clock
+    EXPECT_EXIT(d5.validate(sys), ::testing::ExitedWithCode(1),
+                "clock ratios must be positive");
 }
 
 TEST(Design, PlatformValidateAcceptsTheTable2Machine)
@@ -175,7 +179,9 @@ TEST(Design, DesignByName)
     EXPECT_DOUBLE_EQ(c10.noc1ClockRatio, 0.5);
     const DesignConfig boost = designByName("Sh40+C10+Boost");
     EXPECT_DOUBLE_EQ(boost.noc1ClockRatio, 1.0);
-    EXPECT_EQ(designByName("CDXBar+2xNoC").cdxGlobalClockRatio, 1.0);
+    EXPECT_EQ(designByName("CDXBar+2xNoC").noc2ClockRatio, 1.0);
+    EXPECT_EQ(designByName("CDXBar+2xNoC1").noc1ClockRatio, 1.0);
+    EXPECT_EQ(designByName("CDXBar+2xNoC1").noc2ClockRatio, 0.5);
     EXPECT_EXIT(designByName("Sh40+Boost"), ::testing::ExitedWithCode(1),
                 "cluster count");
     EXPECT_EXIT(designByName("nonsense"), ::testing::ExitedWithCode(1),

@@ -133,30 +133,27 @@ TEST(Durable, JobRecordRoundTripsThroughJsonl)
     JobRecord rec;
     rec.key = "design=A|app=\"quoted\"|seed=1"; // escaping required
     rec.label = "A/back\\slash";
-    rec.ok = true;
-    rec.attempts = 2;
+    rec.outcome = Outcome::Ok;
     rec.metrics = awkwardMetrics();
 
     JobRecord back;
     ASSERT_TRUE(JobRecord::fromJsonLine(rec.toJsonLine(), back));
     EXPECT_EQ(back.key, rec.key);
     EXPECT_EQ(back.label, rec.label);
-    EXPECT_TRUE(back.ok);
-    EXPECT_FALSE(back.quarantined);
-    EXPECT_EQ(back.attempts, 2u);
-    EXPECT_EQ(back.kind, FailureKind::None);
+    EXPECT_TRUE(back.ok());
+    EXPECT_FALSE(back.quarantined());
+    EXPECT_EQ(back.outcome, Outcome::Ok);
     EXPECT_EQ(back.metrics.ipc, rec.metrics.ipc);
 
     JobRecord quar;
     quar.key = "k2";
     quar.label = "bad";
-    quar.quarantined = true;
-    quar.kind = FailureKind::SimBug;
+    quar.outcome = Outcome::SimBug;
     quar.error = "panic: q1 overflow\nat cycle 42";
     ASSERT_TRUE(JobRecord::fromJsonLine(quar.toJsonLine(), back));
-    EXPECT_FALSE(back.ok);
-    EXPECT_TRUE(back.quarantined);
-    EXPECT_EQ(back.kind, FailureKind::SimBug);
+    EXPECT_FALSE(back.ok());
+    EXPECT_TRUE(back.quarantined());
+    EXPECT_EQ(back.outcome, Outcome::SimBug);
     EXPECT_EQ(back.error, quar.error);
 
     // Malformed input never half-parses.
@@ -168,20 +165,35 @@ TEST(Durable, JobRecordRoundTripsThroughJsonl)
         back));
 
     // Values that are not what their field's type requires.
-    const std::string good = rec.toJsonLine();
-    auto with = [&good](const std::string &from, const std::string &to) {
-        std::string line = good;
+    auto edit = [](std::string line, const std::string &from,
+                   const std::string &to) {
         line.replace(line.find(from), from.size(), to);
         return line;
     };
+    const std::string good = rec.toJsonLine();
+    auto with = [&](const std::string &from, const std::string &to) {
+        return edit(good, from, to);
+    };
     for (const std::string &bad :
-         {with("\"attempts\":2", "\"attempts\":-3"),
-          with("\"attempts\":2", "\"attempts\":4294967296"),
+         {with("\"attempts\":1", "\"attempts\":-3"),
+          with("\"attempts\":1", "\"attempts\":4294967296"),
           with("\"cycles\":123456789", "\"cycles\":12abc"),
           with("\"cycles\":123456789", "\"cycles\":1.5"),
           with("\"quarantined\":false", "\"quarantined\":nope"),
           with("\"ok\":true", "\"ok\":\"true\""),
           with("\"ok\":true", "\"ok\":true,\"ok\":true"), good + "x"})
+        EXPECT_FALSE(JobRecord::fromJsonLine(bad, back)) << bad;
+    // Flags that disagree with the kind, and outcomes the log never
+    // holds, are not records the writer produces.
+    const std::string q = quar.toJsonLine();
+    for (const std::string &bad :
+         {with("\"ok\":true", "\"ok\":false"),
+          with("\"quarantined\":false", "\"quarantined\":true"),
+          with("\"kind\":\"none\"", "\"kind\":\"sim-bug\""),
+          edit(q, "\"quarantined\":true", "\"quarantined\":false"),
+          edit(q, "\"kind\":\"sim-bug\"", "\"kind\":\"none\""),
+          edit(q, "sim-bug", "worker-exception"),
+          edit(q, "\"kind\":\"sim-bug\",", "")})
         EXPECT_FALSE(JobRecord::fromJsonLine(bad, back)) << bad;
     // Unknown members (e.g. fields later schemas dropped) are ignored.
     EXPECT_TRUE(JobRecord::fromJsonLine(
@@ -251,20 +263,19 @@ TEST(Durable, ManifestRecordsAndReloadsCompletedJobs)
     JobRecord ok;
     ok.key = "cell-1";
     ok.label = "A/app1";
-    ok.ok = true;
+    ok.outcome = Outcome::Ok;
     ok.metrics = awkwardMetrics();
     m->append(ok);
 
     JobRecord quar;
     quar.key = "cell-2";
     quar.label = "B/app1";
-    quar.quarantined = true;
-    quar.kind = FailureKind::ConfigError;
+    quar.outcome = Outcome::ConfigError;
     m->append(quar);
 
     JobRecord keyless; // keyless jobs are not durable; must be ignored
     keyless.label = "adhoc";
-    keyless.ok = true;
+    keyless.outcome = Outcome::Ok;
     m->append(keyless);
 
     m->finalize("complete");
@@ -273,11 +284,11 @@ TEST(Durable, ManifestRecordsAndReloadsCompletedJobs)
     auto re = RunManifest::openOrCreate(dir, "unit-test grid=2x2");
     EXPECT_EQ(re->completedCount(), 2u);
     ASSERT_NE(re->find("cell-1"), nullptr);
-    EXPECT_TRUE(re->find("cell-1")->ok);
+    EXPECT_TRUE(re->find("cell-1")->ok());
     EXPECT_EQ(re->find("cell-1")->metrics.ipc, ok.metrics.ipc);
     ASSERT_NE(re->find("cell-2"), nullptr);
-    EXPECT_TRUE(re->find("cell-2")->quarantined);
-    EXPECT_EQ(re->find("cell-2")->kind, FailureKind::ConfigError);
+    EXPECT_TRUE(re->find("cell-2")->quarantined());
+    EXPECT_EQ(re->find("cell-2")->outcome, Outcome::ConfigError);
     EXPECT_EQ(re->find("cell-3"), nullptr);
 
     const std::string manifest = readFile(dir + "/manifest.json");
@@ -294,7 +305,7 @@ TEST(Durable, ManifestToleratesTornWalTail)
         JobRecord rec;
         rec.key = "survivor";
         rec.label = "ok";
-        rec.ok = true;
+        rec.outcome = Outcome::Ok;
         m->append(rec);
         m->finalize("interrupted");
     }
@@ -309,23 +320,23 @@ TEST(Durable, ManifestToleratesTornWalTail)
     EXPECT_NE(re->find("survivor"), nullptr);
     EXPECT_EQ(re->find("torn-victim"), nullptr);
 
-    // AppendLog does not start a new line after a torn tail, so the
-    // next record lands on the torn line. A record cut inside its
-    // metrics followed by a whole record must not load as one cell
-    // whose metrics come from both.
+    // A writer that does not end the torn line first puts the next
+    // record on it. A record cut inside its metrics followed by a
+    // whole record must not load as one cell whose metrics come from
+    // both.
     const std::string merged_dir = freshDir("torn-merged");
     RunManifest::openOrCreate(merged_dir, "torn-test")
         ->finalize("interrupted");
     JobRecord cut;
     cut.key = "cut";
     cut.label = "a";
-    cut.ok = true;
+    cut.outcome = Outcome::Ok;
     cut.metrics.cycles = 1000;
     cut.metrics.instructions = 5000;
     JobRecord whole;
     whole.key = "appended";
     whole.label = "b";
-    whole.ok = true;
+    whole.outcome = Outcome::Ok;
     whole.metrics = awkwardMetrics();
     const std::string cut_after = "\"instructions\":50"; // of 5000
     const std::string cut_line = cut.toJsonLine();
@@ -339,6 +350,39 @@ TEST(Durable, ManifestToleratesTornWalTail)
     EXPECT_EQ(merged->completedCount(), 0u);
     EXPECT_EQ(merged->find("cut"), nullptr);
     EXPECT_EQ(merged->find("appended"), nullptr);
+}
+
+TEST(Durable, RecordAppendedAfterATornWalTailLoads)
+{
+    // A hard kill leaves a final line without its newline; the
+    // resumed run's first record must start a line of its own.
+    const std::string dir = freshDir("torn-append");
+    RunManifest::openOrCreate(dir, "torn-test")->finalize("interrupted");
+    {
+        std::ofstream out(dir + "/jobs.jsonl", std::ios::app);
+        out << "{\"key\":\"torn-victim\",\"label\":\"ha";
+    }
+    {
+        auto m = RunManifest::openOrCreate(dir, "torn-test");
+        JobRecord rec;
+        rec.key = "appended";
+        rec.label = "after the tear";
+        rec.outcome = Outcome::Ok;
+        rec.metrics = awkwardMetrics();
+        m->append(rec);
+        rec.key = "next";
+        m->append(rec);
+    }
+    auto re = RunManifest::openOrCreate(dir, "torn-test");
+    EXPECT_EQ(re->completedCount(), 2u);
+    ASSERT_NE(re->find("appended"), nullptr);
+    EXPECT_EQ(re->find("appended")->metrics.ipc, awkwardMetrics().ipc);
+    EXPECT_NE(re->find("next"), nullptr);
+    EXPECT_EQ(re->find("torn-victim"), nullptr);
+    // One newline ends the tear; the records that follow add none.
+    const std::string wal = readFile(dir + "/jobs.jsonl");
+    EXPECT_EQ(wal.find("\n\n"), std::string::npos);
+    EXPECT_EQ(wal.back(), '\n');
 }
 
 TEST(DurableDeathTest, ManifestRefusesForeignRunDirectory)
@@ -385,8 +429,7 @@ TEST(Durable, CrashRecordRoundTripsReplayConfig)
     JobResult result;
     result.index = 3;
     result.label = "Private-40/LeNet";
-    result.kind = FailureKind::WorkerException;
-    result.attempts = 1;
+    result.outcome = Outcome::WorkerException;
     result.error = "std::bad_alloc";
     const std::string context =
         "\"design\":\"Private-40\",\"app\":\"LeNet\",\"cores\":40,"
@@ -436,7 +479,7 @@ TEST(DurableDeathTest, ConfiglessCrashRecordCannotReplay)
     JobResult result;
     result.index = 0;
     result.label = "uncooperative";
-    result.kind = FailureKind::WorkerException;
+    result.outcome = Outcome::WorkerException;
     writeCrashRecord(dir, result, ""); // job never set a crash context
 
     const std::string path =
@@ -452,7 +495,7 @@ TEST(DurableDeathTest, CrashRecordNumbersAreStrict)
     const std::string dir = freshDir("crash-strict");
     JobResult result;
     result.label = "garbled";
-    result.kind = FailureKind::SimBug;
+    result.outcome = Outcome::SimBug;
     writeCrashRecord(dir, result,
                      "\"design\":\"Baseline\",\"app\":\"T-AlexNet\","
                      "\"cores\":8k");
@@ -519,7 +562,7 @@ class InterruptAfterSink : public ResultSink
     void
     onJobDone(const JobResult &result) override
     {
-        if (result.resumed || result.skipped)
+        if (result.resumed)
             return;
         if (++done_ >= after_)
             requestInterrupt();
@@ -582,10 +625,9 @@ TEST(Durable, WorkerExceptionIsRerunByResume)
         JobRunner runner(workers(1));
         runner.attachManifest(manifest.get());
         const auto results = runner.run(specs);
-        EXPECT_FALSE(results[0].ok);
-        EXPECT_FALSE(results[0].quarantined);
-        EXPECT_EQ(results[0].kind, FailureKind::WorkerException);
-        EXPECT_EQ(results[0].attempts, 1u);
+        EXPECT_FALSE(results[0].ok());
+        EXPECT_FALSE(results[0].quarantined());
+        EXPECT_EQ(results[0].outcome, Outcome::WorkerException);
         EXPECT_EQ(calls, 1);
         EXPECT_EQ(manifest->completedCount(), 0u);
     }
@@ -595,9 +637,8 @@ TEST(Durable, WorkerExceptionIsRerunByResume)
         JobRunner runner(workers(1));
         runner.attachManifest(manifest.get());
         const auto results = runner.run(specs);
-        EXPECT_TRUE(results[0].ok) << results[0].error;
+        EXPECT_TRUE(results[0].ok()) << results[0].error;
         EXPECT_FALSE(results[0].resumed);
-        EXPECT_EQ(results[0].attempts, 1u);
         EXPECT_EQ(calls, 2);
     }
     {
@@ -605,7 +646,7 @@ TEST(Durable, WorkerExceptionIsRerunByResume)
         JobRunner runner(workers(1));
         runner.attachManifest(manifest.get());
         const auto results = runner.run(specs);
-        EXPECT_TRUE(results[0].ok);
+        EXPECT_TRUE(results[0].ok());
         EXPECT_TRUE(results[0].resumed);
         EXPECT_EQ(results[0].metrics.ipc, 1.5);
         EXPECT_EQ(calls, 2);
@@ -644,7 +685,7 @@ TEST(Durable, InterruptedSweepResumesByteIdentically)
         runner.attachManifest(manifest.get());
         const auto results = runner.run(set.specs());
         for (const auto &r : results)
-            ASSERT_TRUE(r.ok) << r.label << ": " << r.error;
+            ASSERT_TRUE(r.ok()) << r.label << ": " << r.error;
         clean_csv = csvOf(results);
     }
 
@@ -662,10 +703,10 @@ TEST(Durable, InterruptedSweepResumesByteIdentically)
 
         EXPECT_TRUE(summary.last.interrupted);
         EXPECT_EQ(summary.last.skippedJobs, 2u);
-        EXPECT_TRUE(results[0].ok);
-        EXPECT_TRUE(results[1].ok);
-        EXPECT_TRUE(results[2].skipped);
-        EXPECT_TRUE(results[3].skipped);
+        EXPECT_TRUE(results[0].ok());
+        EXPECT_TRUE(results[1].ok());
+        EXPECT_EQ(results[2].outcome, Outcome::Skipped);
+        EXPECT_EQ(results[3].outcome, Outcome::Skipped);
         EXPECT_EQ(manifest->completedCount(), 2u);
 
         const std::string manifest_json =
@@ -690,7 +731,7 @@ TEST(Durable, InterruptedSweepResumesByteIdentically)
         EXPECT_FALSE(results[2].resumed);
         EXPECT_FALSE(results[3].resumed);
         for (const auto &r : results)
-            ASSERT_TRUE(r.ok) << r.label << ": " << r.error;
+            ASSERT_TRUE(r.ok()) << r.label << ": " << r.error;
         EXPECT_EQ(summary.last.resumedJobs, 2u);
         EXPECT_FALSE(summary.last.interrupted);
         EXPECT_EQ(manifest->completedCount(), 4u);

@@ -89,7 +89,7 @@ TEST(Exec, ResultsLandByIndexNotCompletionOrder)
     for (std::size_t i = 0; i < n; ++i) {
         EXPECT_EQ(results[i].index, i);
         EXPECT_EQ(results[i].label, csprintf("job%zu", i));
-        EXPECT_TRUE(results[i].ok);
+        EXPECT_TRUE(results[i].ok());
         EXPECT_DOUBLE_EQ(results[i].metrics.ipc, double(i));
         EXPECT_EQ(results[i].metrics.cycles, i);
     }
@@ -118,8 +118,7 @@ TEST(Exec, EachJobRunsExactlyOnce)
     ASSERT_EQ(results.size(), n);
     for (std::size_t i = 0; i < n; ++i) {
         EXPECT_EQ(runs[i].load(), 1u) << "job " << i;
-        EXPECT_TRUE(results[i].ok);
-        EXPECT_EQ(results[i].attempts, 1u);
+        EXPECT_EQ(results[i].outcome, Outcome::Ok);
         EXPECT_EQ(results[i].metrics.cycles, i);
         EXPECT_LT(results[i].worker, 8u);
     }
@@ -150,15 +149,15 @@ TEST(Exec, FaultIsolation)
     const auto results = runner.run(specs);
     ASSERT_EQ(results.size(), 7u);
 
-    EXPECT_FALSE(results[0].ok);
+    EXPECT_EQ(results[0].outcome, Outcome::WorkerException);
     EXPECT_NE(results[0].error.find("broken model"), std::string::npos);
-    EXPECT_FALSE(results[1].ok);
+    EXPECT_EQ(results[1].outcome, Outcome::SimBug);
     EXPECT_NE(results[1].error.find("deadlock at cycle 42"),
               std::string::npos);
-    EXPECT_FALSE(results[2].ok);
+    EXPECT_EQ(results[2].outcome, Outcome::ConfigError);
     EXPECT_NE(results[2].error.find("bad config"), std::string::npos);
     for (std::size_t i = 3; i < 7; ++i)
-        EXPECT_TRUE(results[i].ok) << results[i].error;
+        EXPECT_TRUE(results[i].ok()) << results[i].error;
 }
 
 TEST(Exec, PanicStillAbortsOutsideTheEngine)
@@ -231,7 +230,7 @@ TEST(Exec, SerialAndParallelRunsAreIdentical)
         JobRunner runner(workers(jobs));
         const auto results = runner.run(specs);
         for (const auto &r : results)
-            EXPECT_TRUE(r.ok) << r.label << ": " << r.error;
+            EXPECT_TRUE(r.ok()) << r.label << ": " << r.error;
         return out;
     };
 
@@ -258,7 +257,7 @@ TEST(Exec, SinksObserveEveryJob)
         void onJobDone(const JobResult &r) override
         {
             ++dones;
-            failed += r.ok ? 0 : 1;
+            failed += r.ok() ? 0 : 1;
         }
         void onRunEnd(const RunSummary &summary,
                       const std::vector<JobResult> &) override
@@ -307,10 +306,10 @@ TEST(Exec, JsonlSinkWritesOneRecordPerJob)
         specs.push_back({"bad", [](JobContext &) -> core::RunMetrics {
                              throw std::runtime_error("line1\nline2");
                          }});
-        JsonlSink sink(path);
-        JobRunner runner(workers(2));
-        runner.addSink(&sink);
-        runner.run(specs);
+        // The runner writes the log its options name.
+        ExecOptions opts = workers(2);
+        opts.jsonlPath = path;
+        JobRunner(opts).run(specs);
     }
 
     std::ifstream in(path);
@@ -326,6 +325,8 @@ TEST(Exec, JsonlSinkWritesOneRecordPerJob)
               std::string::npos);
     EXPECT_NE(all.find("\"ok\":true"), std::string::npos);
     EXPECT_NE(all.find("\"ok\":false"), std::string::npos);
+    EXPECT_NE(all.find("\"kind\":\"worker-exception\",\"attempts\":1,"),
+              std::string::npos);
     // Newlines in error text must be escaped, not break the framing.
     EXPECT_NE(all.find("line1\\nline2"), std::string::npos);
     EXPECT_NE(lines[2].find("\"summary\""), std::string::npos);
@@ -380,11 +381,10 @@ TEST(Exec, FailureKindNamesAreStable)
 {
     // Serialized into WAL records and crash files; renames would make
     // old run directories unreadable.
-    EXPECT_STREQ(failureKindName(FailureKind::None), "none");
-    EXPECT_STREQ(failureKindName(FailureKind::SimBug), "sim-bug");
-    EXPECT_STREQ(failureKindName(FailureKind::ConfigError),
-                 "config-error");
-    EXPECT_STREQ(failureKindName(FailureKind::WorkerException),
+    EXPECT_STREQ(outcomeName(Outcome::Ok), "none");
+    EXPECT_STREQ(outcomeName(Outcome::SimBug), "sim-bug");
+    EXPECT_STREQ(outcomeName(Outcome::ConfigError), "config-error");
+    EXPECT_STREQ(outcomeName(Outcome::WorkerException),
                  "worker-exception");
 }
 
@@ -402,16 +402,14 @@ TEST(Exec, DeterministicFailuresAreQuarantinedWithoutRetry)
                      }});
     const auto results = JobRunner(workers(1)).run(specs);
 
-    EXPECT_FALSE(results[0].ok);
-    EXPECT_TRUE(results[0].quarantined);
-    EXPECT_EQ(results[0].kind, FailureKind::SimBug);
-    EXPECT_EQ(results[0].attempts, 1u);
+    EXPECT_FALSE(results[0].ok());
+    EXPECT_TRUE(results[0].quarantined());
+    EXPECT_EQ(results[0].outcome, Outcome::SimBug);
     EXPECT_EQ(panic_runs, 1);
 
-    EXPECT_FALSE(results[1].ok);
-    EXPECT_TRUE(results[1].quarantined);
-    EXPECT_EQ(results[1].kind, FailureKind::ConfigError);
-    EXPECT_EQ(results[1].attempts, 1u);
+    EXPECT_FALSE(results[1].ok());
+    EXPECT_TRUE(results[1].quarantined());
+    EXPECT_EQ(results[1].outcome, Outcome::ConfigError);
     EXPECT_EQ(fatal_runs, 1);
 }
 

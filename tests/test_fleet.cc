@@ -228,10 +228,9 @@ TEST(Fleet, DeferredWhenAnotherWorkerHoldsTheCell)
     SummarySink summary;
     const auto results = workerPass(*manifest, specs, &summary);
 
-    EXPECT_TRUE(results[0].deferred); // claimed elsewhere, not failed
-    EXPECT_FALSE(results[0].ok);
-    EXPECT_EQ(results[0].attempts, 0u);
-    EXPECT_TRUE(results[1].ok);
+    // Claimed elsewhere: not run here, and not failed.
+    EXPECT_EQ(results[0].outcome, Outcome::Deferred);
+    EXPECT_TRUE(results[1].ok());
     EXPECT_EQ(summary.last.deferredJobs, 1u);
     EXPECT_EQ(summary.last.failedJobs, 0u);
     EXPECT_EQ(manifest->completedCount(), 1u);
@@ -241,12 +240,12 @@ TEST(Fleet, DeferredWhenAnotherWorkerHoldsTheCell)
 
     // The claim is never released, so a second pass defers it again;
     const auto again = workerPass(*manifest, specs);
-    EXPECT_TRUE(again[0].deferred);
+    EXPECT_EQ(again[0].outcome, Outcome::Deferred);
     EXPECT_TRUE(again[1].resumed);
 
     // the merge, which claims nothing, simulates it.
     const auto merged = mergePass(*manifest, specs);
-    EXPECT_TRUE(merged[0].ok);
+    EXPECT_TRUE(merged[0].ok());
     EXPECT_FALSE(merged[0].resumed);
     EXPECT_TRUE(merged[1].resumed);
     EXPECT_EQ(manifest->completedCount(), 2u);
@@ -285,18 +284,16 @@ TEST(FleetDeathTest, HardKilledWorkerIsRecoveredByTheMerge)
     // A second worker pass defers exactly the dead worker's cell.
     const auto pass = workerPass(*manifest, specs);
     EXPECT_TRUE(pass[0].resumed);
-    EXPECT_TRUE(pass[1].deferred);
-    for (std::size_t i : {2u, 3u}) {
-        EXPECT_TRUE(pass[i].ok) << i;
-        EXPECT_EQ(pass[i].attempts, 1u) << i;
-    }
+    EXPECT_EQ(pass[1].outcome, Outcome::Deferred);
+    for (std::size_t i : {2u, 3u})
+        EXPECT_EQ(pass[i].outcome, Outcome::Ok) << i;
 
     // The merge simulates exactly that cell; the CSV matches the
     // uninterrupted reference byte for byte.
     const auto merged = mergePass(*manifest, specs);
     for (std::size_t i = 0; i < specs.size(); ++i)
         EXPECT_EQ(merged[i].resumed, i != 1) << i;
-    EXPECT_EQ(merged[1].attempts, 1u);
+    EXPECT_EQ(merged[1].outcome, Outcome::Ok);
     EXPECT_EQ(csvOf(merged), ref_csv);
 }
 

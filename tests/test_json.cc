@@ -196,7 +196,7 @@ seedRecords(const std::string &dir)
     exec::JobRecord rec;
     rec.key = "Sh40|T-AlexNet|\"quoted\"|back\\slash|\t|\x01";
     rec.label = "Sh40/T-AlexNet";
-    rec.ok = true;
+    rec.outcome = exec::Outcome::Ok;
     rec.error = "line1\nline2";
     rec.metrics.cycles = 20000;
     rec.metrics.instructions = 104382;
@@ -217,7 +217,7 @@ seedRecords(const std::string &dir)
     gpu.run(300, 0);
     exec::JobResult result;
     result.label = "Sh40+C10+Boost/T-AlexNet";
-    result.kind = exec::FailureKind::SimBug;
+    result.outcome = exec::Outcome::SimBug;
     result.error = "panic: q1 overflow";
     exec::writeCrashRecord(dir, result,
                            exec::crashConfigJson(

@@ -9,15 +9,18 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/json.hh"
 #include "core/design.hh"
 #include "core/gpu_system.hh"
 #include "exec/job_runner.hh"
 #include "prof/prof.hh"
+#include "stats/latency_attr.hh"
 #include "stats/prof_trace.hh"
 #include "workload/app_catalog.hh"
 #include "workload/workload.hh"
@@ -215,7 +218,7 @@ TEST(ProfilerExecTest, PerJobReportsAreIsolated)
     const std::vector<exec::JobResult> results = runner.run(specs);
     ASSERT_EQ(results.size(), specs.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
-        ASSERT_TRUE(results[i].ok) << results[i].error;
+        ASSERT_TRUE(results[i].ok()) << results[i].error;
         const prof::Report &r = results[i].prof;
         EXPECT_TRUE(r.enabled);
         EXPECT_GT(r.wallNs, 0u);
@@ -242,7 +245,7 @@ TEST(ProfilerExecTest, DisabledByDefault)
     specs[0].label = "plain";
     specs[0].fn = [](exec::JobContext &) { return core::RunMetrics{}; };
     const std::vector<exec::JobResult> results = runner.run(specs);
-    ASSERT_TRUE(results[0].ok);
+    ASSERT_TRUE(results[0].ok());
     EXPECT_FALSE(results[0].prof.enabled);
     EXPECT_TRUE(results[0].prof.nodes.empty());
 }
@@ -316,7 +319,7 @@ TEST(ProfilerExecTest, CoverageAtLeast95Percent)
         return gpu.metrics();
     };
     const std::vector<exec::JobResult> results = runner.run(specs);
-    ASSERT_TRUE(results[0].ok) << results[0].error;
+    ASSERT_TRUE(results[0].ok()) << results[0].error;
     const prof::Report &r = results[0].prof;
     ASSERT_TRUE(r.enabled);
     ASSERT_GT(r.wallNs, 0u);
@@ -414,6 +417,46 @@ TEST(ProfTraceTest, ExportHostPhases)
     EXPECT_NE(json.find("\"run\""), std::string::npos);
     EXPECT_NE(json.find("\"core\""), std::string::npos);
     EXPECT_NE(json.find("\"noc\""), std::string::npos);
+
+    // Host phases are not request lifecycles: 1-in-3 request thinning
+    // keeps every one, and no sampled request (53441 is the 53,441st)
+    // shares a track with them.
+    for (const std::uint32_t every : {16u, 3u}) {
+        stats::TraceExport mixed(every);
+        stats::tlsTraceSink() = &mixed;
+        for (const std::uint32_t id : {1u, 53440u, 53441u, 53443u}) {
+            stats::ReqTelemetry t; // an "issue" span over [10, 20)
+            t.sampleId = id;
+            t.lastStamp = 10;
+            stats::tlmEnter(t, stats::Seg::NocReq, 20);
+        }
+        stats::tlsTraceSink() = nullptr;
+        const std::size_t requests = mixed.events();
+        stats::exportHostPhases(mixed, r);
+        EXPECT_EQ(mixed.events(), requests + r.nodes.size()) << every;
+
+        std::ostringstream out;
+        mixed.writeJson(out);
+        json::Value doc;
+        std::string error;
+        ASSERT_TRUE(json::parse(out.str(), doc, error)) << error;
+        const json::Value *events = doc.find("traceEvents");
+        ASSERT_NE(events, nullptr);
+        std::set<std::pair<std::string, std::string>> request_tracks,
+            host_tracks;
+        for (const json::Value &e : events->items) {
+            std::string name;
+            ASSERT_TRUE(e.get("name", name));
+            const auto track =
+                std::make_pair(e.find("pid")->text, e.find("tid")->text);
+            (name == "issue" ? request_tracks : host_tracks).insert(track);
+        }
+        EXPECT_EQ(request_tracks.size(), requests) << every;
+        EXPECT_EQ(host_tracks.size(), 1u) << every;
+        for (const auto &track : host_tracks)
+            EXPECT_EQ(request_tracks.count(track), 0u)
+                << "pid " << track.first << " tid " << track.second;
+    }
 }
 
 } // anonymous namespace

@@ -20,8 +20,8 @@ catch a malformed emitter before a human tries to plot the data:
     - "C" events carry args.value
     - the slices of each request track (pid, tid) tile time: sorted by
       ts, each starts where the one before it ends, with no gap and no
-      overlap (the host-phase track, tid 0xD0C1, nests by design and
-      is skipped)
+      overlap (the host-phase process, pid 3, nests by design and is
+      skipped)
 
   stats JSON (--stats FILE ...):
     - parses as one object with a "name" field; every "dists" entry
@@ -36,7 +36,7 @@ import argparse
 import json
 import sys
 
-HOST_PHASE_TID = 0xD0C1
+HOST_PHASE_PID = 3
 
 
 def fail(msg):
@@ -120,7 +120,7 @@ def check_trace(path):
             dur = e.get("dur")
             if not isinstance(dur, int) or dur < 0:
                 fail(f"{path}: event {i}: bad dur {dur!r}")
-            if e.get("tid") != HOST_PHASE_TID:
+            if e.get("pid") != HOST_PHASE_PID:
                 key = (e.get("pid"), e.get("tid"))
                 tracks.setdefault(key, []).append((ts, dur))
             slices += 1

@@ -248,13 +248,9 @@ main(int argc, char **argv)
     eopts.crashDir = o.crashDir;
     if (eopts.crashDir.empty())
         eopts.crashDir = envStrOr("DCL1_CRASH_DIR", "");
+    eopts.jsonlPath = o.jsonlFile;
     eopts.profile = o.profile || envIsSet("DCL1_PROF");
     exec::JobRunner runner(eopts);
-    std::unique_ptr<exec::JsonlSink> jsonl;
-    if (!o.jsonlFile.empty()) {
-        jsonl = std::make_unique<exec::JsonlSink>(o.jsonlFile);
-        runner.addSink(jsonl.get());
-    }
     std::vector<exec::JobSpec> specs(1);
     specs[0].label =
         design.name + "/" + (o.trace.empty() ? o.app : o.trace);
@@ -278,9 +274,9 @@ main(int argc, char **argv)
         return gpu->metrics();
     };
     const std::vector<exec::JobResult> results = runner.run(specs);
-    if (!results[0].ok) {
+    if (!results[0].ok()) {
         std::fprintf(stderr, "dcl1run: simulation failed (%s): %s\n",
-                     exec::failureKindName(results[0].kind),
+                     exec::outcomeName(results[0].outcome),
                      results[0].error.c_str());
         if (!eopts.crashDir.empty())
             std::fprintf(

@@ -285,11 +285,11 @@ main(int argc, char **argv)
 
     bool failed = false;
     for (const exec::JobResult &r : results) {
-        if (r.ok)
+        if (r.ok())
             continue;
         failed = true;
         std::fprintf(stderr, "dcl1serve: cell %s failed (%s): %s\n",
-                     r.label.c_str(), exec::failureKindName(r.kind),
+                     r.label.c_str(), exec::outcomeName(r.outcome),
                      r.error.c_str());
     }
 
@@ -302,7 +302,7 @@ main(int argc, char **argv)
                 "design", "pol", "lambda", "jobs", "done", "cens",
                 "p50", "p95", "p99", "goodput", "jain");
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (!results[i].ok) {
+        if (!results[i].ok()) {
             std::printf("%-18s %-5s %7s  FAILED\n",
                         cells[i].design.c_str(),
                         serve::policyName(cells[i].policy),
@@ -328,7 +328,7 @@ main(int argc, char **argv)
                         "p99_latency,mean_queue_delay,jain_fairness,"
                         "ipc,l1_missrate\n";
         for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (!results[i].ok)
+            if (!results[i].ok())
                 continue;
             out.stream() << csvRow(cells[i], o.seed) << "\n";
         }

@@ -87,7 +87,7 @@ class InterruptAfterSink : public exec::ResultSink
     void
     onJobDone(const exec::JobResult &result) override
     {
-        if (result.resumed || result.skipped || result.deferred)
+        if (result.resumed || result.outcome == exec::Outcome::Deferred)
             return;
         if (++done_ >= after_)
             exec::requestInterrupt();
@@ -247,11 +247,6 @@ main(int argc, char **argv)
         runner.attachManifest(manifest.get(), /*claim_cells=*/worker_mode);
     exec::ProgressSink progress;
     runner.addSink(&progress);
-    std::unique_ptr<exec::JsonlSink> jsonl;
-    if (!eopts.jsonlPath.empty()) {
-        jsonl = std::make_unique<exec::JsonlSink>(eopts.jsonlPath);
-        runner.addSink(jsonl.get());
-    }
     std::unique_ptr<InterruptAfterSink> injector;
     if (interrupt_after > 0) {
         injector = std::make_unique<InterruptAfterSink>(interrupt_after);
@@ -260,14 +255,10 @@ main(int argc, char **argv)
 
     const std::vector<exec::JobResult> results = runner.run(set.specs());
 
-    // Interrupted: no CSV — a partial file that looks complete is the
-    // exact failure mode the durable layer exists to prevent.
-    bool interrupted = false;
-    for (const exec::JobResult &r : results)
-        interrupted = interrupted || r.skipped;
-    if (exec::interruptRequested())
-        interrupted = true;
-    if (interrupted) {
+    // Interrupted (only an interrupt leaves a job Skipped): no CSV — a
+    // partial file that looks complete is the exact failure mode the
+    // durable layer exists to prevent.
+    if (exec::interruptRequested()) {
         std::fprintf(stderr,
                      "[sweep] interrupted; %s\n",
                      run_dir.empty()
@@ -284,12 +275,12 @@ main(int argc, char **argv)
         // CSV. The exit code answers for the cells this pass ran.
         std::size_t ran = 0, deferred = 0, failed = 0, quarantined = 0;
         for (const exec::JobResult &r : results) {
-            deferred += r.deferred ? 1 : 0;
-            if (r.deferred || r.resumed)
+            deferred += r.outcome == exec::Outcome::Deferred ? 1 : 0;
+            if (r.outcome == exec::Outcome::Deferred || r.resumed)
                 continue;
             ++ran;
-            failed += r.ok ? 0 : 1;
-            quarantined += r.quarantined ? 1 : 0;
+            failed += r.ok() ? 0 : 1;
+            quarantined += r.quarantined() ? 1 : 0;
         }
         std::fprintf(stderr,
                      "[sweep] worker pass done: %zu cell(s) run here, "
@@ -311,11 +302,11 @@ main(int argc, char **argv)
     for (const Row &row : rows) {
         const exec::JobResult &r = results[row.jobIndex];
         const exec::JobResult &base = results[row.baseIndex];
-        if (!r.ok || !base.ok) {
+        if (!r.ok() || !base.ok()) {
             ++failed_rows;
             std::fprintf(stderr, "[sweep] dropping row %s,%s: %s\n",
                          row.design.c_str(), row.app.c_str(),
-                         (!r.ok ? r.error : base.error).c_str());
+                         (!r.ok() ? r.error : base.error).c_str());
             continue;
         }
         const core::RunMetrics &rm = r.metrics;
@@ -342,10 +333,10 @@ main(int argc, char **argv)
     // Quarantine report + exit-code contract (see exec/exit_codes.hh).
     std::size_t failed_cells = 0, quarantined_cells = 0;
     for (const exec::JobResult &r : results) {
-        if (r.ok)
+        if (r.ok())
             continue;
         ++failed_cells;
-        if (r.quarantined)
+        if (r.quarantined())
             ++quarantined_cells;
     }
     if (quarantined_cells > 0) {
@@ -353,10 +344,10 @@ main(int argc, char **argv)
                      "[sweep] quarantined (deterministic failures; "
                      "resume cannot recover them):\n");
         for (const exec::JobResult &r : results)
-            if (r.quarantined)
+            if (r.quarantined())
                 std::fprintf(stderr, "[sweep]   %-28s %s: %s\n",
                              r.label.c_str(),
-                             exec::failureKindName(r.kind),
+                             exec::outcomeName(r.outcome),
                              r.error.c_str());
     }
     if (failed_rows > 0)
